@@ -35,7 +35,7 @@ func main() {
 		warmup    = flag.Bool("warmup", false, "use the paper's warmup density schedule")
 		lr        = flag.Float64("lr", 0.05, "learning rate")
 		momentum  = flag.Float64("momentum", 0.9, "momentum coefficient")
-		clip      = flag.Float64("clip", 0, "per-element gradient clip (0 disables)")
+		clip      = flag.Float64("clip", 1, "per-element clip applied to the aggregated update (0 disables; without it the default vgg16sim run diverges)")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		evalN     = flag.Int("eval", 0, "held-out eval batches after training (0 disables)")
 		hierGroup = flag.Int("hier-group", 0, "gtopk-hier group size G (0 picks the default of 4)")

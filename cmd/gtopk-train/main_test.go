@@ -1,7 +1,9 @@
 package main
 
 import (
+	"math"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,5 +106,32 @@ func TestHierarchicalTrainingSmoke(t *testing.T) {
 	}
 	if !strings.Contains(res.Stdout, "algo=gtopk-hier") || !strings.Contains(res.Stdout, "epoch   1") {
 		t.Fatalf("stdout missing training output:\n%s", res.Stdout)
+	}
+}
+
+// TestDefaultClipKeepsVGGFinite: the vgg16sim gTop-k run with every
+// other flag at its default ends with a finite loss. The default -clip
+// of 1 is what keeps it finite: with -clip 0 this run reaches NaN in
+// epoch 6.
+func TestDefaultClipKeepsVGGFinite(t *testing.T) {
+	if raceEnabled {
+		t.Skip("240 vgg16sim steps outrun the 30 s smoke budget under the race detector")
+	}
+	res := clitest.Run(t, "-model", "vgg16sim", "-algo", "gtopk", "-workers", "4", "-epochs", "8", "-iters", "30")
+	if res.Code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", res.Code, res.Stderr)
+	}
+	var last string
+	for _, line := range strings.Split(res.Stdout, "\n") {
+		if strings.HasPrefix(line, "epoch ") {
+			last = line
+		}
+	}
+	if !strings.HasPrefix(last, "epoch   8  loss ") {
+		t.Fatalf("stdout missing the epoch 8 loss:\n%s", res.Stdout)
+	}
+	loss, err := strconv.ParseFloat(strings.TrimPrefix(last, "epoch   8  loss "), 64)
+	if err != nil || math.IsNaN(loss) || math.IsInf(loss, 0) {
+		t.Fatalf("final loss %q is not finite (err %v):\n%s", last, err, res.Stdout)
 	}
 }

@@ -13,11 +13,62 @@ import (
 // they communicate; all return the same length-dim dense update vector
 // (the MEAN gradient contribution, i.e. already divided by P) and must
 // produce bit-identical updates on every rank so replicas never diverge.
+//
+// The returned buffer belongs to the aggregator and stays valid until
+// the next Aggregate. Aggregators with a sparse result also report
+// UpdateSupport() []int32, the indices where it may be non-zero (see
+// SparseUpdate). Callers may rewrite entries only on that support (on
+// every entry when it is not reported), and only with zero-preserving
+// maps such as clipping.
 type Aggregator interface {
 	// Aggregate consumes grad (not retained) and returns the dense update.
 	Aggregate(ctx context.Context, grad []float32) ([]float32, error)
 	// Name identifies the algorithm in logs and experiment tables.
 	Name() string
+}
+
+// SparseUpdate is the dense update buffer of an aggregator with a sparse
+// result. It clears only the previous step's support and writes the new
+// entries, so densifying costs O(k) instead of O(dim). Aggregators embed
+// it for its UpdateSupport method, which the optimizer tail reads.
+type SparseUpdate struct {
+	dense   []float32
+	support []int32
+}
+
+// NewSparseUpdate returns an all-zero dim-length update.
+func NewSparseUpdate(dim int) SparseUpdate {
+	return SparseUpdate{dense: make([]float32, dim), support: []int32{}}
+}
+
+// UpdateSupport returns the indices where the last update may be
+// non-zero, valid until the aggregator's next Aggregate.
+func (u *SparseUpdate) UpdateSupport() []int32 { return u.support }
+
+// Densify replaces the update with v·inv and returns the dense buffer.
+func (u *SparseUpdate) Densify(v *sparse.Vector, inv float32) []float32 {
+	u.clear()
+	u.scatter(0, v, inv)
+	return u.dense
+}
+
+func (u *SparseUpdate) clear() {
+	for _, i := range u.support {
+		u.dense[i] = 0
+	}
+	u.support = u.support[:0]
+}
+
+// scatter writes v·inv at off+index and adds those indices to the
+// support; v must not overlap entries written since the last clear. The
+// 0+ keeps every bit, signed zeros included, equal to zeroing the buffer,
+// scatter-adding v and scaling all entries by inv.
+func (u *SparseUpdate) scatter(off int, v *sparse.Vector, inv float32) {
+	for i, idx := range v.Indices {
+		j := off + int(idx)
+		u.dense[j] = (0 + v.Values[i]) * inv
+		u.support = append(u.support, int32(j))
+	}
 }
 
 // DenseAggregator implements classic S-SGD: ring AllReduce over the full
@@ -59,8 +110,8 @@ type TopKAggregator struct {
 	step     int
 	mu       float32
 	velocity []float32
-	dense    []float32
 	orig     []float32 // pre-transform value snapshot for FoldError (reused)
+	SparseUpdate
 }
 
 // NewTopKAggregator creates a Top-k aggregator selecting k of dim
@@ -70,10 +121,10 @@ func NewTopKAggregator(comm *collective.Comm, dim, k int) (*TopKAggregator, erro
 		return nil, err
 	}
 	return &TopKAggregator{
-		comm:  comm,
-		sp:    NewSparsifier(dim),
-		k:     k,
-		dense: make([]float32, dim),
+		comm:         comm,
+		sp:           NewSparsifier(dim),
+		k:            k,
+		SparseUpdate: NewSparseUpdate(dim),
 	}, nil
 }
 
@@ -132,15 +183,7 @@ func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float
 	if a.orig != nil {
 		a.sp.FoldError(local.Indices, a.orig, local.Values)
 	}
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	sum.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
-	return a.dense, nil
+	return a.Densify(sum, 1/float32(a.comm.Size())), nil
 }
 
 // GTopKAggregator implements gTop-k S-SGD (Algorithm 4): local top-k
@@ -156,9 +199,9 @@ type GTopKAggregator struct {
 	step      int
 	mu        float32
 	velocity  []float32
-	dense     []float32
 	orig      []float32     // pre-transform value snapshot for FoldError (reused)
 	global    sparse.Vector // reused tree-collective result (zero steady-state allocs)
+	SparseUpdate
 
 	// quorum, when enabled (Q > 0), replaces the flat tree with the
 	// straggler-tolerant quorum collective; missStreak counts this rank's
@@ -174,10 +217,10 @@ func NewGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, er
 		return nil, err
 	}
 	return &GTopKAggregator{
-		comm:  comm,
-		sp:    NewSparsifier(dim),
-		k:     k,
-		dense: make([]float32, dim),
+		comm:         comm,
+		sp:           NewSparsifier(dim),
+		k:            k,
+		SparseUpdate: NewSparseUpdate(dim),
 	}, nil
 }
 
@@ -326,16 +369,7 @@ func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 			a.sp.PutBack(local, global.Indices)
 		}
 	}
-
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	global.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
-	return a.dense, nil
+	return a.Densify(global, 1/float32(a.comm.Size())), nil
 }
 
 // snapshotForFold copies local's values into buf (reusing its capacity)

@@ -61,6 +61,7 @@ type bucketState struct {
 	hi       int
 	k        int
 	out      sparse.Vector // reused per-bucket collective result
+	upd      SparseUpdate  // this bucket's entries of the parent's update buffer
 
 	dc   *DensityController // adaptive per-bucket density (nil = static k)
 	iter int                // rounds completed by this bucket
@@ -103,10 +104,11 @@ type BucketedAggregator struct {
 	parent  *collective.Comm
 	bounds  []int
 	buckets []*bucketState
-	dense   []float32
 	group   int // hierarchical group size (0 or 1 = flat per-bucket gTop-k)
 
 	mu float32 // DGC momentum-correction coefficient (0 disables)
+
+	SparseUpdate // each bucket writes its own range; the support joins theirs
 
 	// quorum, when enabled, replaces every bucket's flat tree with the
 	// straggler-tolerant quorum collective; missStreak counts consecutive
@@ -165,13 +167,13 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 	model, timed := comm.Model()
 	dim := bounds[n]
 	a := &BucketedAggregator{
-		parent:   comm,
-		bounds:   append([]int(nil), bounds...),
-		buckets:  make([]*bucketState, n),
-		dense:    make([]float32, dim),
-		group:    group,
-		done:     make(chan bucketDone, n),
-		lastComm: make([]time.Duration, n),
+		parent:       comm,
+		bounds:       append([]int(nil), bounds...),
+		buckets:      make([]*bucketState, n),
+		group:        group,
+		done:         make(chan bucketDone, n),
+		lastComm:     make([]time.Duration, n),
+		SparseUpdate: NewSparseUpdate(dim),
 	}
 	hier := group > 1 && group < comm.Size()
 	for i := 0; i < n; i++ {
@@ -183,6 +185,7 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 			lo:   lo,
 			hi:   hi,
 			k:    DensityToK(hi-lo, density),
+			upd:  SparseUpdate{dense: a.dense, support: []int32{}},
 		}
 		if timed {
 			b.clock = &netsim.Clock{}
@@ -381,6 +384,10 @@ func (a *BucketedAggregator) Finish() ([]float32, error) {
 	}
 	a.grad = nil
 	a.ctx = nil
+	a.support = a.support[:0]
+	for _, b := range a.buckets {
+		a.support = append(a.support, b.upd.support...)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -485,14 +492,8 @@ func (a *BucketedAggregator) runBucket(ctx context.Context, b *bucketState, grad
 	}
 	b.iter++
 
-	dst := a.dense[b.lo:b.hi]
-	for i := range dst {
-		dst[i] = 0
-	}
-	inv := 1 / float32(b.comm.Size())
-	for i, idx := range global.Indices {
-		dst[idx] = global.Values[i] * inv
-	}
+	b.upd.clear()
+	b.upd.scatter(b.lo, global, 1/float32(b.comm.Size()))
 
 	out.stats = statsDelta(statsBefore, b.comm.Stats())
 	if b.clock != nil {

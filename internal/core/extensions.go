@@ -73,10 +73,10 @@ func PSGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.
 // doubles as server and worker, as in classic PS deployments where the
 // server is colocated.
 type PSGTopKAggregator struct {
-	comm  *collective.Comm
-	sp    *Sparsifier
-	k     int
-	dense []float32
+	comm *collective.Comm
+	sp   *Sparsifier
+	k    int
+	SparseUpdate
 }
 
 // NewPSGTopKAggregator creates the PS-mode aggregator.
@@ -84,7 +84,7 @@ func NewPSGTopKAggregator(comm *collective.Comm, dim, k int) (*PSGTopKAggregator
 	if err := validateK(dim, k); err != nil {
 		return nil, err
 	}
-	return &PSGTopKAggregator{comm: comm, sp: NewSparsifier(dim), k: k, dense: make([]float32, dim)}, nil
+	return &PSGTopKAggregator{comm: comm, sp: NewSparsifier(dim), k: k, SparseUpdate: NewSparseUpdate(dim)}, nil
 }
 
 // Name implements Aggregator.
@@ -101,15 +101,7 @@ func (a *PSGTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]fl
 		return nil, err
 	}
 	a.sp.PutBack(local, global.Indices)
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	global.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
-	return a.dense, nil
+	return a.Densify(global, 1/float32(a.comm.Size())), nil
 }
 
 // LayerwiseGTopKAggregator applies gTop-k independently per layer
@@ -125,7 +117,7 @@ type LayerwiseGTopKAggregator struct {
 	sp       *Sparsifier
 	segments []int // cumulative offsets: layer l covers [segments[l], segments[l+1])
 	density  float64
-	dense    []float32
+	SparseUpdate
 }
 
 // NewLayerwiseGTopKAggregator creates the aggregator. bounds are the
@@ -145,11 +137,11 @@ func NewLayerwiseGTopKAggregator(comm *collective.Comm, bounds []int, density fl
 	}
 	dim := bounds[len(bounds)-1]
 	return &LayerwiseGTopKAggregator{
-		comm:     comm,
-		sp:       NewSparsifier(dim),
-		segments: bounds,
-		density:  density,
-		dense:    make([]float32, dim),
+		comm:         comm,
+		sp:           NewSparsifier(dim),
+		segments:     bounds,
+		density:      density,
+		SparseUpdate: NewSparseUpdate(dim),
 	}, nil
 }
 
@@ -167,9 +159,7 @@ func (a *LayerwiseGTopKAggregator) Aggregate(ctx context.Context, grad []float32
 	for i, g := range grad {
 		res[i] += g
 	}
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
+	a.clear()
 	inv := 1 / float32(a.comm.Size())
 	for l := 0; l+1 < len(a.segments); l++ {
 		lo, hi := a.segments[l], a.segments[l+1]
@@ -194,9 +184,7 @@ func (a *LayerwiseGTopKAggregator) Aggregate(ctx context.Context, grad []float32
 			}
 			seg[idx] += local.Values[i]
 		}
-		for i, idx := range global.Indices {
-			a.dense[lo+int(idx)] = global.Values[i] * inv
-		}
+		a.scatter(lo, global, inv)
 	}
 	return a.dense, nil
 }

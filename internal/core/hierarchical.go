@@ -173,9 +173,9 @@ type HierarchicalAggregator struct {
 	step      int
 	mu        float32
 	velocity  []float32
-	dense     []float32
 	orig      []float32     // pre-transform value snapshot for FoldError (reused)
 	global    sparse.Vector // reused collective result (zero steady-state allocs)
+	SparseUpdate
 
 	// quorum, when enabled (Q > 0), replaces the full-sync collectives
 	// with the straggler-tolerant quorum variants (hierarchical in the
@@ -198,11 +198,11 @@ func NewHierarchicalAggregator(comm *collective.Comm, dim, k, group int) (*Hiera
 		return nil, fmt.Errorf("core: hierarchical group size %d out of range: need >= 1", group)
 	}
 	a := &HierarchicalAggregator{
-		comm:  comm,
-		group: group,
-		sp:    NewSparsifier(dim),
-		k:     k,
-		dense: make([]float32, dim),
+		comm:         comm,
+		group:        group,
+		sp:           NewSparsifier(dim),
+		k:            k,
+		SparseUpdate: NewSparseUpdate(dim),
 	}
 	if group > 1 && group < comm.Size() {
 		gc, err := comm.ForkGroup(group)
@@ -354,14 +354,5 @@ func (a *HierarchicalAggregator) Aggregate(ctx context.Context, grad []float32) 
 			a.sp.PutBack(local, global.Indices)
 		}
 	}
-
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	global.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
-	return a.dense, nil
+	return a.Densify(global, 1/float32(a.comm.Size())), nil
 }

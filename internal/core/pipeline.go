@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"gtopkssgd/internal/tensor"
 )
 
 // PipelinedTrainer implements the paper's Section VII future-work idea —
@@ -23,79 +21,59 @@ import (
 // Replica consistency is preserved: every rank applies the same updates
 // in the same order, just one step later than the synchronous trainer.
 type PipelinedTrainer struct {
-	cfg      TrainConfig
-	agg      Aggregator
-	gradFn   GradFn
-	weights  []float32
-	velocity []float32
-	grad     []float32
-	iter     int
-
+	tr       *Trainer  // configuration, weights, momentum and the gradient gradFn writes
+	sent     []float32 // the gradient the in-flight aggregation reads
 	inflight bool
 	resultCh chan aggResult
 }
 
 type aggResult struct {
-	update []float32 // private copy of the aggregated update
+	update []float32 // the aggregator's buffer, valid until its next Aggregate
 	err    error
 }
 
 // NewPipelinedTrainer assembles a pipelined trainer with the same
 // contract as NewTrainer.
 func NewPipelinedTrainer(cfg TrainConfig, agg Aggregator, weights []float32, gradFn GradFn) (*PipelinedTrainer, error) {
-	if err := cfg.Validate(); err != nil {
+	tr, err := NewTrainer(cfg, agg, weights, gradFn)
+	if err != nil {
 		return nil, err
 	}
-	if agg == nil || gradFn == nil {
-		return nil, fmt.Errorf("core: pipelined trainer needs an aggregator and a gradient function")
-	}
-	return &PipelinedTrainer{
-		cfg:      cfg,
-		agg:      agg,
-		gradFn:   gradFn,
-		weights:  weights,
-		velocity: make([]float32, len(weights)),
-		grad:     make([]float32, len(weights)),
-		resultCh: make(chan aggResult, 1),
-	}, nil
+	return &PipelinedTrainer{tr: tr, sent: make([]float32, len(weights)), resultCh: make(chan aggResult, 1)}, nil
 }
 
 // Weights exposes the current parameters.
-func (t *PipelinedTrainer) Weights() []float32 { return t.weights }
+func (t *PipelinedTrainer) Weights() []float32 { return t.tr.weights }
 
 // Iter returns the number of gradient computations so far.
-func (t *PipelinedTrainer) Iter() int { return t.iter }
+func (t *PipelinedTrainer) Iter() int { return t.tr.iter }
 
 // Step computes this iteration's gradient, applies the PREVIOUS
 // iteration's aggregated update (if any), and launches this gradient's
 // aggregation in the background. Returns the local mini-batch loss.
 func (t *PipelinedTrainer) Step(ctx context.Context) (float64, error) {
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
-	loss := t.gradFn(t.iter, t.weights, t.grad)
+	tr := t.tr
+	clear(tr.grad)
+	loss := tr.gradFn(tr.iter, tr.weights, tr.grad)
 
 	// Overlap point: the previous aggregation ran while gradFn computed.
 	if t.inflight {
 		if err := t.applyPending(); err != nil {
-			return 0, fmt.Errorf("core: pipelined step %d: %w", t.iter, err)
+			return 0, fmt.Errorf("core: pipelined step %d: %w", tr.iter, err)
 		}
 	}
 
-	// Hand the fresh gradient to the aggregator on a private copy so the
-	// next gradFn call can reuse t.grad immediately.
-	gradCopy := append([]float32(nil), t.grad...)
+	// The one aggregation in flight has returned, so the gradient buffers
+	// swap: the aggregator reads this gradient while the next gradFn call
+	// writes the other buffer.
+	tr.grad, t.sent = t.sent, tr.grad
 	t.inflight = true
-	go func() {
-		update, err := t.agg.Aggregate(ctx, gradCopy)
-		if err != nil {
-			t.resultCh <- aggResult{err: err}
-			return
-		}
-		t.resultCh <- aggResult{update: append([]float32(nil), update...)}
-	}()
+	go func(grad []float32) {
+		update, err := tr.agg.Aggregate(ctx, grad)
+		t.resultCh <- aggResult{update: update, err: err}
+	}(t.sent)
 
-	t.iter++
+	tr.iter++
 	return loss, nil
 }
 
@@ -108,22 +86,14 @@ func (t *PipelinedTrainer) Flush() error {
 	return t.applyPending()
 }
 
+// applyPending applies the aggregator's own buffer in place: its next
+// Aggregate starts only after this returns.
 func (t *PipelinedTrainer) applyPending() error {
 	res := <-t.resultCh
 	t.inflight = false
 	if res.err != nil {
 		return res.err
 	}
-	if t.cfg.GradClip > 0 {
-		tensor.Clip(res.update, t.cfg.GradClip)
-	}
-	if t.cfg.Momentum > 0 {
-		for i, u := range res.update {
-			t.velocity[i] = t.cfg.Momentum*t.velocity[i] + u
-		}
-		tensor.AxpyInto(t.weights, -t.cfg.LR, t.velocity)
-	} else {
-		tensor.AxpyInto(t.weights, -t.cfg.LR, res.update)
-	}
+	t.tr.cfg.apply(t.tr.weights, t.tr.velocity, res.update, updateSupport(t.tr.agg))
 	return nil
 }

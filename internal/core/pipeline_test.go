@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -199,6 +200,56 @@ func TestPipelinedPropagatesAggregationErrors(t *testing.T) {
 	if _, err := pipe.Step(context.Background()); err == nil {
 		t.Fatal("aggregation error not surfaced on next step")
 	}
+}
+
+// TestPipelinedStepAllocsIndependentOfDim: a pipelined step hands its
+// gradient over by swapping two persistent buffers and applies the
+// aggregator's own update buffer, so what a step allocates does not grow
+// with the model dimension.
+func TestPipelinedStepAllocsIndependentOfDim(t *testing.T) {
+	perStep := func(dim int) (allocs, bytes float64) {
+		pipe, err := NewPipelinedTrainer(TrainConfig{LR: 0.1, Momentum: 0.9, GradClip: 1},
+			&copyAggregator{buf: make([]float32, dim)}, make([]float32, dim),
+			func(_ int, _, grad []float32) float64 { grad[0] = 2; return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if _, err := pipe.Step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		allocs = testing.AllocsPerRun(50, step)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if err := pipe.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 50
+	}
+	smallAllocs, _ := perStep(1 << 10)
+	bigAllocs, bigBytes := perStep(1 << 18)
+	if bigAllocs > smallAllocs {
+		t.Errorf("%v allocations per step at dim 2^18, %v at dim 2^10", bigAllocs, smallAllocs)
+	}
+	if bigBytes > 4096 {
+		t.Errorf("%.0f bytes allocated per step at dim 2^18 (a gradient is %d bytes)", bigBytes, 4<<18)
+	}
+}
+
+// copyAggregator returns the local gradient as the update, from its own
+// buffer and without allocating.
+type copyAggregator struct{ buf []float32 }
+
+func (a *copyAggregator) Name() string { return "copy" }
+func (a *copyAggregator) Aggregate(_ context.Context, grad []float32) ([]float32, error) {
+	copy(a.buf, grad)
+	return a.buf, nil
 }
 
 func TestPipelinedConstructorValidation(t *testing.T) {

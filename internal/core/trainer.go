@@ -148,9 +148,7 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 			return t.stepStreamed(ctx, bs)
 		}
 	}
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
+	clear(t.grad)
 	var pt PhaseTimes
 	start := time.Now()
 	loss := t.gradFn(t.iter, t.weights, t.grad)
@@ -163,11 +161,7 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	}
 	pt.Aggregate = time.Since(start)
 
-	t.applyUpdate(update, &pt)
-	if t.onPhases != nil {
-		t.onPhases(t.iter, pt)
-	}
-	t.iter++
+	t.applyUpdate(update, pt)
 	return loss, nil
 }
 
@@ -176,9 +170,7 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 // from inside the backward pass via the ready callback, and Finish only
 // waits out communication the overlap could not hide.
 func (t *Trainer) stepStreamed(ctx context.Context, bs BucketStreamer) (float64, error) {
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
+	clear(t.grad)
 	var pt PhaseTimes
 	start := time.Now()
 	if err := bs.Begin(ctx, t.grad); err != nil {
@@ -194,28 +186,59 @@ func (t *Trainer) stepStreamed(ctx context.Context, bs BucketStreamer) (float64,
 	}
 	pt.Aggregate = time.Since(start)
 
-	t.applyUpdate(update, &pt)
+	t.applyUpdate(update, pt)
+	return loss, nil
+}
+
+// applyUpdate ends a step, serial or streamed: it runs the optimizer
+// tail, reports the phase times and advances the iteration.
+func (t *Trainer) applyUpdate(update []float32, pt PhaseTimes) {
+	start := time.Now()
+	t.cfg.apply(t.weights, t.velocity, update, updateSupport(t.agg))
+	pt.Update = time.Since(start)
 	if t.onPhases != nil {
 		t.onPhases(t.iter, pt)
 	}
 	t.iter++
-	return loss, nil
 }
 
-// applyUpdate runs the optimizer tail (clip, momentum, weight update)
-// shared by the serial and streamed step paths.
-func (t *Trainer) applyUpdate(update []float32, pt *PhaseTimes) {
-	start := time.Now()
-	if t.cfg.GradClip > 0 {
-		tensor.Clip(update, t.cfg.GradClip)
+// updateSupport returns agg's UpdateSupport, or nil (every index) when
+// agg does not report one.
+func updateSupport(agg Aggregator) []int32 {
+	if s, ok := agg.(interface{ UpdateSupport() []int32 }); ok {
+		return s.UpdateSupport()
 	}
-	if t.cfg.Momentum > 0 {
-		for i, u := range update {
-			t.velocity[i] = t.cfg.Momentum*t.velocity[i] + u
+	return nil
+}
+
+// apply is the optimizer tail. support lists where update may be
+// non-zero (nil: everywhere); off it clip(0) = 0 and w + (−η·0) = w bit
+// for bit, so clipping, and the step without momentum, touch only the
+// support. Momentum fuses its two passes, per-element arithmetic unchanged.
+func (c TrainConfig) apply(weights, velocity, update []float32, support []int32) {
+	if lim := c.GradClip; lim > 0 {
+		if support == nil {
+			tensor.Clip(update, lim)
 		}
-		tensor.AxpyInto(t.weights, -t.cfg.LR, t.velocity)
-	} else {
-		tensor.AxpyInto(t.weights, -t.cfg.LR, update)
+		for _, i := range support {
+			update[i] = min(max(update[i], -lim), lim)
+		}
 	}
-	pt.Update = time.Since(start)
+	alpha := -c.LR
+	switch {
+	case c.Momentum > 0:
+		mu := c.Momentum
+		velocity, weights = velocity[:len(update)], weights[:len(update)]
+		for i, u := range update {
+			v := mu*velocity[i] + u
+			velocity[i] = v
+			weights[i] += alpha * v
+		}
+	case support == nil:
+		tensor.AxpyInto(weights, alpha, update)
+	default:
+		for _, i := range support {
+			weights[i] += alpha * update[i]
+		}
+	}
 }

@@ -134,7 +134,7 @@ type QuantizedGTopKAggregator struct {
 	sp   *core.Sparsifier
 	k    int
 	rng  *prng.Source
-	buf  []float32
+	core.SparseUpdate
 
 	// WireBytes accumulates the modelled wire footprint of the quantized
 	// local payloads, for compression-ratio reporting.
@@ -147,11 +147,11 @@ func NewQuantizedGTopKAggregator(comm *collective.Comm, dim, k int, seed uint64)
 		return nil, fmt.Errorf("quant: k=%d out of range [1,%d]", k, dim)
 	}
 	return &QuantizedGTopKAggregator{
-		comm: comm,
-		sp:   core.NewSparsifier(dim),
-		k:    k,
-		rng:  prng.New(seed ^ uint64(comm.Rank())*0xd1342543de82ef95),
-		buf:  make([]float32, dim),
+		comm:         comm,
+		sp:           core.NewSparsifier(dim),
+		k:            k,
+		rng:          prng.New(seed ^ uint64(comm.Rank())*0xd1342543de82ef95),
+		SparseUpdate: core.NewSparseUpdate(dim),
 	}, nil
 }
 
@@ -180,15 +180,7 @@ func (a *QuantizedGTopKAggregator) Aggregate(ctx context.Context, grad []float32
 		return nil, err
 	}
 	a.sp.PutBack(quantized, global.Indices)
-	for i := range a.buf {
-		a.buf[i] = 0
-	}
-	global.ScatterAdd(a.buf)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.buf {
-		a.buf[i] *= inv
-	}
-	return a.buf, nil
+	return a.Densify(global, 1/float32(a.comm.Size())), nil
 }
 
 // encodeTernary packs (scale, int8 levels) for the wire.
