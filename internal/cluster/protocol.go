@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
@@ -41,18 +42,18 @@ const (
 // message is the single envelope exchanged on the control plane; the T
 // tag selects which optional fields are meaningful.
 type message struct {
-	T      string  `json:"t"`
-	Name   string  `json:"name,omitempty"`
-	Addr   string  `json:"addr,omitempty"`
-	Done   bool    `json:"done,omitempty"`
-	Reason string  `json:"reason,omitempty"`
+	T      string `json:"t"`
+	Name   string `json:"name,omitempty"`
+	Addr   string `json:"addr,omitempty"`
+	Done   bool   `json:"done,omitempty"`
+	Reason string `json:"reason,omitempty"`
 	// Group, on degraded messages, carries the reporter's hierarchy group
 	// index PLUS ONE (0 means "flat quorum, no group"), so group-granular
 	// telemetry — a whole partitioned group streaking together — survives
 	// the wire without a mandatory field on every other message.
-	Group  int     `json:"group,omitempty"`
-	HBMs   int64   `json:"hb_ms,omitempty"`
-	DeadMs int64   `json:"dead_ms,omitempty"`
+	Group  int   `json:"group,omitempty"`
+	HBMs   int64 `json:"hb_ms,omitempty"`
+	DeadMs int64 `json:"dead_ms,omitempty"`
 	// Parked marks a welcome to a late joiner: the join is accepted but
 	// the worker is held outside the running epoch until the autoscaler
 	// admits it at the next epoch boundary (its first config message).
@@ -76,6 +77,16 @@ type Config struct {
 	Addrs []string `json:"addrs"`
 }
 
+// maxControlMsg bounds one control-plane message in bytes. The largest
+// legitimate message, an epoch config, carries one name and one address
+// per rank, which stays far below this at any realistic world size; the
+// bound keeps a peer on the unauthenticated socket from making the
+// decoder buffer an unbounded line.
+const maxControlMsg = 1 << 20
+
+// errControlMsgTooLarge reports a message that exceeded maxControlMsg.
+var errControlMsgTooLarge = fmt.Errorf("cluster: control message exceeds the %d-byte (1 MiB) limit", maxControlMsg)
+
 // connCodec wraps one control connection with line-oriented JSON
 // encode/decode. Writes are mutex-free: each side has exactly one
 // writer goroutine per message source, and the coordinator serialises
@@ -84,22 +95,49 @@ type connCodec struct {
 	conn net.Conn
 	enc  *json.Encoder
 	dec  *json.Decoder
+	in   *budgetReader
 }
 
 func newCodec(conn net.Conn) *connCodec {
-	return &connCodec{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	in := &budgetReader{r: conn}
+	return &connCodec{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(in), in: in}
 }
 
 func (c *connCodec) write(m *message) error {
 	return c.enc.Encode(m)
 }
 
+// read decodes the next message. The decoder may already hold bytes of
+// this message from an earlier read-ahead, so the socket budget is the
+// limit minus what it has buffered: a message longer than maxControlMsg
+// fails with errControlMsgTooLarge once the budget runs out.
 func (c *connCodec) read() (*message, error) {
+	buffered, _ := io.Copy(io.Discard, c.dec.Buffered())
+	c.in.left = maxControlMsg - buffered
 	var m message
 	if err := c.dec.Decode(&m); err != nil {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// budgetReader passes reads through until left bytes have been read,
+// then fails with errControlMsgTooLarge.
+type budgetReader struct {
+	r    io.Reader
+	left int64
+}
+
+func (b *budgetReader) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, errControlMsgTooLarge
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
 }
 
 // validateConfig rejects a malformed epoch configuration before the

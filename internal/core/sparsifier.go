@@ -22,15 +22,18 @@ import (
 type Sparsifier struct {
 	dim      int
 	residual []float32
-	// sel, when non-nil, runs the top-k selection in parallel over
-	// per-core shards (bit-identical to the serial path; see SetShards).
+	// sel runs the fused accumulate-and-select over per-core shards; one
+	// shard is the serial kernel (bit-identical either way; see
+	// SetShards). It owns the candidate scratch.
 	sel *sparse.ShardSelector
+	// out is the selection Select returns, reused every call.
+	out sparse.Vector
 }
 
 // NewSparsifier creates a sparsifier for a dim-parameter model with a
 // zeroed residual (Algorithm 1 line 1: G^g_0 = 0) and serial selection.
 func NewSparsifier(dim int) *Sparsifier {
-	return &Sparsifier{dim: dim, residual: make([]float32, dim)}
+	return &Sparsifier{dim: dim, residual: make([]float32, dim), sel: sparse.NewShardSelector(1)}
 }
 
 // SetShards configures the local top-k selection — the T_sparsify term
@@ -38,13 +41,7 @@ func NewSparsifier(dim int) *Sparsifier {
 // 1 restores the serial path, 0 selects one shard per schedulable core
 // (GOMAXPROCS). The selection result is bit-identical for every shard
 // count; only the wall time changes.
-func (s *Sparsifier) SetShards(n int) {
-	if n == 1 {
-		s.sel = nil
-		return
-	}
-	s.sel = sparse.NewShardSelector(n)
-}
+func (s *Sparsifier) SetShards(n int) { s.sel = sparse.NewShardSelector(n) }
 
 // Dim returns the dense gradient dimension.
 func (s *Sparsifier) Dim() int { return s.dim }
@@ -59,7 +56,10 @@ func (s *Sparsifier) ResidualNorm() float64 { return tensor.L2Norm(s.residual) }
 
 // Select accumulates grad into the residual, extracts the k
 // largest-magnitude entries as a sparse vector, and leaves everything
-// else in the residual. The returned vector aliases no internal state.
+// else in the residual. The add and the selection are one fused kernel
+// (sparse.AccumulateTopKInto). The returned vector is owned by the
+// Sparsifier and valid until the next Select; callers may modify its
+// values in place.
 func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
 	if len(grad) != s.dim {
 		return nil, fmt.Errorf("core: gradient dim %d, sparsifier dim %d", len(grad), s.dim)
@@ -67,17 +67,11 @@ func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
 	if k < 0 || k > s.dim {
 		return nil, fmt.Errorf("core: k=%d out of range [0,%d]", k, s.dim)
 	}
-	tensor.AddInto(s.residual, grad)
-	selected := &sparse.Vector{}
-	if s.sel != nil {
-		s.sel.TopKInto(selected, s.residual, k)
-	} else {
-		sparse.TopKInto(selected, s.residual, k)
-	}
-	for _, idx := range selected.Indices {
+	s.sel.AccumulateTopKInto(&s.out, s.residual, grad, k)
+	for _, idx := range s.out.Indices {
 		s.residual[idx] = 0
 	}
-	return selected, nil
+	return &s.out, nil
 }
 
 // PutBack re-deposits entries of local that did NOT survive the global

@@ -229,3 +229,54 @@ func TestSparsifierShardedSelectBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSparsifierSelectZeroAlloc: Select returns the Sparsifier-owned
+// result and the fused kernel keeps its candidate scratch, so a
+// steady-state step allocates nothing, in either kernel mode. Every
+// measured call starts from the same residual so the candidate count,
+// and with it the scratch size, is the same each time.
+func TestSparsifierSelectZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops puts at random; allocation counts are not deterministic")
+	}
+	const dim = 1 << 20
+	k := DensityToK(dim, 0.001)
+	src := prng.New(11)
+	grad := make([]float32, dim)
+	for i := range grad {
+		grad[i] = float32(src.NormFloat64())
+	}
+	prev := sparse.Kernels()
+	defer func() {
+		if err := sparse.SetKernels(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, mode := range []string{sparse.KernelsPure, sparse.KernelsFast} {
+		if mode == sparse.KernelsFast && !sparse.FastKernelsAvailable() {
+			continue
+		}
+		if err := sparse.SetKernels(mode); err != nil {
+			t.Fatal(err)
+		}
+		sp := NewSparsifier(dim)
+		for i := 0; i < 3; i++ { // warm-up: carry a residual
+			if _, err := sp.Select(grad, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := append([]float32(nil), sp.Residual()...)
+		step := func() {
+			if err := sp.RestoreResidual(start); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.Select(grad, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Fatalf("%s kernels: Select allocates %v times per op, want 0", mode, allocs)
+		}
+	}
+}

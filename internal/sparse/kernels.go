@@ -15,11 +15,12 @@ import (
 // is set). Most fast variants replay exactly the same comparison sequence
 // as the pure ones, so results — including quickselect's pivot-driven
 // permutations and behaviour on NaN/Inf inputs — are bit-identical by
-// construction, not just in expectation; the radix threshold selector is
-// the one algorithmic substitution, and it computes a value (the k-th
-// largest of a multiset) that no algorithm can disagree on, falling back
-// to the quickselect reference whenever NaNs make float ordering and bit
-// ordering diverge. The active variant is a
+// construction, not just in expectation; the histogram threshold
+// selectors (the radix descent and the fused accumulate-and-select
+// kernel) are the algorithmic substitutions, and they compute a value
+// (the k-th largest of a multiset) that no algorithm can disagree on,
+// falling back to the quickselect reference whenever NaNs make float
+// ordering and bit ordering diverge. The active variant is a
 // process-wide mode, selectable at startup via SetKernels (the CLI
 // -kernels flag) and defaulting to fast where available.
 
@@ -30,6 +31,13 @@ const (
 	// KernelsPure selects the portable pure-Go implementations.
 	KernelsPure = "pure"
 )
+
+// radixMinN is the input size below which the histogram selectors (the
+// byte-wise radix descent and the fused 11-bit kernel) lose to
+// quickselect: each zeroes and walks its counter banks, a fixed cost
+// that dominates when the scan itself is only a few hundred elements.
+// Below the gate the dispatchers run the quickselect reference instead.
+const radixMinN = 1024
 
 // fastEnabled gates every kernel dispatch. Atomic so tests and the fuzz
 // harness can flip modes without racing in-flight benchmark goroutines;
@@ -111,41 +119,33 @@ func countGreater(mags []float32, thr float32) int {
 	return countGreaterPure(mags, thr)
 }
 
-// selectThreshold returns the k-th largest magnitude in mags plus the
-// strict-winner count (elements > threshold) — the two quantities every
-// top-k emit needs. The pure path is quickselect + a counting pass; the
-// fast path is a byte-wise radix descent over the float bit patterns
-// (sign-free magnitudes order identically as uint32s), which visits
-// memory sequentially and yields the strict count as a by-product. The
-// radix result is the value of the k-th largest element — a multiset
-// property independent of algorithm — so both paths return identical
-// bits; inputs containing NaN (whose float ordering disagrees with the
-// bit ordering) fall back to the quickselect reference in both modes.
-// mags may be permuted (quickselect partitions in place; radix does not).
-func selectThreshold(mags []float32, k int) (thr float32, strict int) {
+// thresholdOf returns the k-th largest magnitude of vals plus the
+// strict-winner count (entries above it), for 1 <= k <= len(vals) — the two
+// quantities every top-k emit needs. The fast path is a byte-wise radix
+// descent over the float bit patterns (sign-free magnitudes order
+// identically as uint32s): it reads the signed values directly, masking
+// the sign bit in its own scan, and yields the strict count as a
+// by-product. The pure path fills a pooled magnitude scratch and runs
+// quickselect plus a counting pass (quickselect permutes the scratch,
+// which preserves the multiset the count needs). The radix result is the
+// value of the k-th largest element — a multiset property independent of
+// algorithm — so both paths return identical bits; inputs containing NaN
+// (whose float ordering disagrees with the bit ordering) or under the
+// radix size gate take the quickselect path in both modes. vals is not
+// modified.
+func thresholdOf(vals []float32, k int) (thr float32, strict int) {
 	if fastEnabled.Load() {
-		if thr, strict, ok := radixSelectKthLargest(mags, k); ok {
+		if thr, strict, ok := radixSelectKthLargest(vals, k); ok {
 			return thr, strict
 		}
 	}
+	sp := getMagScratch(len(vals))
+	mags := *sp
+	absInto(mags, vals)
 	thr = selectKthLargest(mags, k)
-	return thr, countGreater(mags, thr)
-}
-
-// selectThresholdVals is the scratch-free front door to selectThreshold:
-// the radix descent clears the sign bit as it converts each element to
-// bits, so it consumes the raw signed values directly and the caller
-// skips the magnitude-scratch fill (one full pass plus a pool
-// round-trip) entirely. ok=false — pure mode, purego builds, NaN inputs,
-// or inputs under the radix size gate — sends the caller to the
-// scratch-backed reference path; the returned threshold and strict count
-// are the same multiset properties either way, so the two routes stay
-// bit-identical.
-func selectThresholdVals(vals []float32, k int) (thr float32, strict int, ok bool) {
-	if fastEnabled.Load() {
-		return radixSelectKthLargest(vals, k)
-	}
-	return 0, 0, false
+	strict = countGreater(mags, thr)
+	magScratch.Put(sp)
+	return thr, strict
 }
 
 // emitTopK scans srcVal (paired with srcIdx, or dense positions when

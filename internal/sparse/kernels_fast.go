@@ -129,13 +129,6 @@ var u32Scratch = sync.Pool{New: func() any { return new([]uint32) }}
 // NaN payloads, whose float ordering disagrees with the bit ordering.
 const infBits = uint32(0x7f800000)
 
-// radixMinN is the input size below which the radix descent loses to
-// quickselect: each byte level zeroes and walks a 256-bin histogram, a
-// fixed ~1KB cost that dominates when the scan itself is only a few
-// hundred elements. Below the gate the selector reports ok=false and the
-// dispatcher runs the quickselect reference instead.
-const radixMinN = 1024
-
 // radixSelectKthLargest finds the k-th largest magnitude — and the count
 // of elements strictly above it — by byte-wise radix descent over the
 // float32 bit patterns. The descent clears the sign bit as it converts
@@ -257,6 +250,135 @@ func radixSelectKthLargest(vals []float32, k int) (thr float32, strict int, ok b
 	*sp = cur
 	u32Scratch.Put(sp)
 	return math.Float32frombits(prefix), k - want, true
+}
+
+// magBin is the first-level histogram bin of a sign-free magnitude: its
+// top 11 bits, i.e. the 8 exponent bits and the 3 leading mantissa
+// bits. One bin spans a factor of 1.125 in magnitude, so the bin that
+// holds the k-th largest is thin and the candidate gather copies little
+// more than the k winners. The mask proves the index in range.
+func magBin(u uint32) uint32 { return (u >> 20) & 0x7ff }
+
+// accumulateSelectFast is AccumulateTopKInto's fast kernel. Pass 1 adds
+// grad into acc (when grad is non-nil) and histograms the sums' top 11
+// magnitude bits, striped over two counter banks so consecutive
+// increments stay independent, while a branch-free flag collects NaNs.
+// The bin walk then finds the bin holding the k-th largest, and pass 2
+// gathers every entry at or above that bin into cand in ascending index
+// order. The exact threshold is refined on cand's entries of that bin,
+// on the remaining 20 bits in two 10-bit levels. Every entry whose
+// magnitude reaches the threshold is in cand, in index order, so the
+// emit scan over cand selects exactly what a scan over acc would.
+//
+// ok=false means acc holds a NaN, whose bit pattern does not order like
+// its value; the add has still been applied and the caller selects with
+// the quickselect reference.
+func accumulateSelectFast(cand *Vector, acc, grad []float32, k int) (thr float32, strict int, ok bool) {
+	n := len(acc)
+	var h [2][2048]int32
+	// nan collects infBits-u over all magnitudes u: the subtraction wraps
+	// and sets the top bit exactly when u is a NaN pattern (u > infBits).
+	var nan uint32
+	i := 0
+	if grad != nil {
+		g := grad[:n]
+		for ; i+2 <= n; i += 2 {
+			v0, v1 := acc[i]+g[i], acc[i+1]+g[i+1]
+			acc[i], acc[i+1] = v0, v1
+			u0 := math.Float32bits(v0) &^ signMask32
+			u1 := math.Float32bits(v1) &^ signMask32
+			nan |= (infBits - u0) | (infBits - u1)
+			h[0][magBin(u0)]++
+			h[1][magBin(u1)]++
+		}
+		if i < n {
+			acc[i] += g[i]
+		}
+	} else {
+		for ; i+2 <= n; i += 2 {
+			u0 := math.Float32bits(acc[i]) &^ signMask32
+			u1 := math.Float32bits(acc[i+1]) &^ signMask32
+			nan |= (infBits - u0) | (infBits - u1)
+			h[0][magBin(u0)]++
+			h[1][magBin(u1)]++
+		}
+	}
+	if i < n {
+		u := math.Float32bits(acc[i]) &^ signMask32
+		nan |= infBits - u
+		h[0][magBin(u)]++
+	}
+	if nan&signMask32 != 0 {
+		return 0, 0, false
+	}
+	// want is the 1-based rank (from the top) still sought inside the
+	// chosen bin; the bins above it hold the k-want strict winners.
+	want := k
+	b := 2047
+	for {
+		c := int(h[0][b] + h[1][b])
+		if want <= c {
+			break
+		}
+		want -= c
+		b--
+	}
+	total := k - want + int(h[0][b]+h[1][b])
+	if cap(cand.Indices) < total || cap(cand.Values) < total {
+		// The candidate count drifts from step to step; a quarter of
+		// headroom keeps a long-lived cand from regrowing on each new
+		// high-water mark.
+		ensureVec(cand, total+total/4)
+	}
+	ensureVec(cand, total)
+	cand.Dim = n
+	ci, cv := cand.Indices, cand.Values
+	// Candidates are a small share of acc (about the density rho), so the
+	// branch predicts well and the pass is a plain sequential read.
+	lo := uint32(b) << 20
+	o := 0
+	for j, v := range acc {
+		if math.Float32bits(v)&^signMask32 >= lo {
+			ci[o] = int32(j)
+			cv[o] = v
+			o++
+		}
+	}
+	bits, want := refineKth(cv, lo, want)
+	return math.Float32frombits(bits), k - want, true
+}
+
+// refineKth narrows the k-th largest magnitude inside one first-level
+// bin (the entries of vals whose sign-free top 11 bits equal prefix's)
+// by two 10-bit histogram levels over the remaining 20 bits, and returns
+// its full bit pattern. want enters as the 1-based rank sought inside
+// the bin and leaves as the rank inside the final value's ties, so the
+// caller's k-want is the strict-winner count.
+func refineKth(vals []float32, prefix uint32, want int) (uint32, int) {
+	var h [1024]int32
+	for shift := 10; ; shift -= 10 {
+		h = [1024]int32{}
+		top := prefix >> (shift + 10)
+		for _, v := range vals {
+			u := math.Float32bits(v) &^ signMask32
+			if u>>(shift+10) == top {
+				h[(u>>shift)&0x3ff]++
+			}
+		}
+		b := 1023
+		for {
+			c := int(h[b])
+			if want <= c {
+				break
+			}
+			want -= c
+			b--
+		}
+		prefix |= uint32(b) << shift
+		if shift == 0 {
+			return prefix, want
+		}
+	}
 }
 
 // emitTopKFast is the branch-light winner scan: every entry is stored at

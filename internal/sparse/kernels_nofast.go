@@ -34,6 +34,11 @@ func checkIndicesFast(indices []int32, dim int) error { return checkIndicesPure(
 
 func radixSelectKthLargest(mags []float32, k int) (float32, int, bool) { return 0, 0, false }
 
+func accumulateSelectFast(cand *Vector, acc, grad []float32, k int) (float32, int, bool) {
+	addInto(acc, grad)
+	return 0, 0, false
+}
+
 func emitTopKFast(dstIdx []int32, dstVal []float32, srcIdx []int32, srcVal []float32, thr float32, tieQuota, k int) int {
 	return emitTopKPure(dstIdx, dstVal, srcIdx, srcVal, thr, tieQuota, k)
 }

@@ -253,23 +253,85 @@ func fuzzFloats(raw []byte, maxN int) []float32 {
 	return out
 }
 
+// fuzzFloatBytes is fuzzFloats' inverse, for writing seeds as floats.
+func fuzzFloatBytes(vals ...float32) []byte {
+	out := make([]byte, 0, 4*len(vals))
+	for _, v := range vals {
+		u := math.Float32bits(v)
+		out = append(out, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+	}
+	return out
+}
+
+// checkAccumulateFuzz pins AccumulateTopKInto to AddInto + TopKInto on
+// a fuzz input: x is the residual and its reverse the gradient, both at
+// the fuzz size and tiled past the fused kernel's size gate. Tiling
+// repeats every value thousands of times, which makes heavy ties the
+// normal case. k keeps its distance from both ends of the range, so
+// k = 1, n-1 and n map to 1, N-1 and N. The tiled check needs the fast
+// kernels (pure mode runs the same code at every size) and skips inputs
+// with a NaN or an infinity (Inf-Inf sums are NaN): their tiled
+// duplicates send the quickselect fallback of both sides into quadratic
+// time. The unit tests cover that route.
+func checkAccumulateFuzz(t *testing.T, x []float32, k int) {
+	n := len(x)
+	grad := make([]float32, n)
+	finite := true
+	for i, v := range x {
+		grad[i] = x[n-1-i]
+		finite = finite && !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+	}
+	checkAccumulate(t, "fuzz", x, grad, k)
+	if !FastKernelsAvailable() || !finite {
+		return
+	}
+	big := radixMinN + n
+	acc, bigGrad := make([]float32, big), make([]float32, big)
+	for i := range acc {
+		acc[i] = x[i%n]
+		bigGrad[i] = grad[(i*7+3)%n]
+	}
+	bigK := k
+	if k > n/2 {
+		bigK = big - (n - k)
+	}
+	checkAccumulate(t, "fuzz tiled", acc, bigGrad, bigK)
+}
+
 // FuzzKernelsEquiv asserts fast/pure bit-equivalence on arbitrary inputs:
 // for any bit pattern (finite, Inf, NaN), selection, merge, scatter-add,
 // and wire encoding must produce identical bits in both kernel modes.
-// This is the contract that makes -kernels a pure speed knob.
+// This is the contract that makes -kernels a pure speed knob. It also
+// pins the fused AccumulateTopKInto to AddInto + TopKInto, in every
+// build: the selection and the residual bits must both match.
 func FuzzKernelsEquiv(f *testing.F) {
-	if !FastKernelsAvailable() {
-		f.Skip("fast kernels unavailable in this build")
-	}
 	f.Add(uint8(3), []byte{1, 0, 0, 63, 0, 0, 128, 191, 0, 0, 192, 127})
 	f.Add(uint8(1), []byte{0, 0, 128, 127, 0, 0, 128, 255, 1, 0, 0, 0})
 	f.Add(uint8(7), bytes.Repeat([]byte{0xff}, 64))
+	// Heavy ties, signed zeros, NaN and infinities, each at k = 1, n-1
+	// and n for n = 8 (well under radixMinN).
+	negZero := float32(math.Copysign(0, -1))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, seed := range [][]float32{
+		{1, -1, 1, -1, 1, 1, -1, 2},
+		{0, negZero, 0, negZero, 3, negZero, 0, -3},
+		{1, nan, -2, 3, nan, 0, -1, 2},
+		{inf, -inf, 1, -1, inf, 0, negZero, -inf},
+	} {
+		for _, kRaw := range []uint8{0, 6, 7} {
+			f.Add(kRaw, fuzzFloatBytes(seed...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, kRaw uint8, raw []byte) {
 		x := fuzzFloats(raw, 256)
 		if len(x) == 0 {
 			return
 		}
 		k := int(kRaw)%len(x) + 1
+		checkAccumulateFuzz(t, x, k)
+		if !FastKernelsAvailable() {
+			return
+		}
 		half := len(x) / 2
 		av, bv := FromDense(x[:half]), FromDense(x[:half])
 		if half > 0 {

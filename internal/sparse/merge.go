@@ -70,18 +70,7 @@ func TopKSparseInto(dst, v *Vector, k int) {
 	case k >= n:
 		CopyInto(dst, v)
 	default:
-		// The radix fast path reads the signed values directly (it masks
-		// the sign bit in its own scan), pairing the k-th largest with the
-		// strict-winner count as a by-product; only the fallback — pure
-		// mode, NaNs, small n — pays for a magnitude scratch fill.
-		thr, strict, ok := selectThresholdVals(v.Values, k)
-		if !ok {
-			sp := getMagScratch(n)
-			mags := *sp
-			absInto(mags, v.Values)
-			thr, strict = selectThreshold(mags, k)
-			magScratch.Put(sp)
-		}
+		thr, strict := thresholdOf(v.Values, k)
 		// One slot of emit slack for the branchless fast scan's rejected-
 		// entry stores; the result is truncated to the k winners.
 		ensureVec(dst, k+1)

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -10,10 +11,12 @@ import (
 // T_sparsify term is a dense top-k over the full residual every
 // iteration, which the serial path runs on one goroutine no matter how
 // many cores the worker has. The engine splits the dense vector into
-// contiguous per-core shards, runs the existing threshold-quickselect
-// per shard concurrently, and merges the shard winners into the EXACT
-// global top-k — bit-identical to the serial selection for every shard
-// count.
+// contiguous per-core shards, runs the serial accumulate-and-select
+// kernel (AccumulateTopKInto) per shard concurrently, and merges the
+// shard winners into the EXACT global top-k — bit-identical to the
+// serial selection for every shard count. Each shard adds its own range
+// of the gradient into its own range of the residual, so the
+// error-feedback add runs in parallel too.
 //
 // Why the merge is exact: any entry of the global top-k is, within its
 // shard, among that shard's top-k under the same (magnitude desc, index
@@ -27,7 +30,7 @@ import (
 // exactly the serial result.
 
 // minShardElems is the smallest per-shard span worth a goroutine: below
-// this the handoff costs more than the parallel quickselect saves, so
+// this the handoff costs more than the parallel selection saves, so
 // the engine degrades toward fewer (or one) shards. Results never depend
 // on the effective shard count.
 const minShardElems = 1 << 15
@@ -39,7 +42,8 @@ const minShardElems = 1 << 15
 type ShardSelector struct {
 	shards int
 	parts  []Vector
-	cand   Vector
+	cands  []Vector // per-shard candidate scratch of AccumulateTopKInto
+	cand   Vector   // merge input, or the serial path's candidate scratch
 
 	timed      bool
 	sequential bool
@@ -56,6 +60,7 @@ func NewShardSelector(shards int) *ShardSelector {
 	return &ShardSelector{
 		shards:   shards,
 		parts:    make([]Vector, shards),
+		cands:    make([]Vector, shards),
 		shardDur: make([]time.Duration, shards),
 	}
 }
@@ -98,14 +103,29 @@ func (s *ShardSelector) TopK(x []float32, k int) *Vector {
 // TopKInto writes the k largest-magnitude entries of x into dst —
 // bit-identical to sparse.TopKInto(dst, x, k) for every shard count.
 func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
-	n := len(x)
+	s.AccumulateTopKInto(dst, x, nil, k)
+}
+
+// AccumulateTopKInto is the sharded AccumulateTopKInto: it adds grad
+// into acc and writes the k largest-magnitude entries of the sum into
+// dst, bit-identical to the serial kernel for every shard count. Each
+// shard adds and selects its own contiguous range; grad nil adds
+// nothing.
+func (s *ShardSelector) AccumulateTopKInto(dst *Vector, acc, grad []float32, k int) {
+	n := len(acc)
+	if grad != nil && len(grad) != n {
+		panic(fmt.Sprintf("sparse: AccumulateTopKInto over %d-element residual with %d-element gradient", n, len(grad)))
+	}
 	shards := s.shards
 	if max := n / minShardElems; shards > max {
 		shards = max
 	}
 	if shards <= 1 || k <= 0 || k >= n {
-		start := time.Now()
-		TopKInto(dst, x, k)
+		var start time.Time
+		if s.timed {
+			start = time.Now()
+		}
+		AccumulateTopKInto(dst, &s.cand, acc, grad, k)
 		if s.timed {
 			s.shardDur = s.shardDur[:1]
 			s.shardDur[0] = time.Since(start)
@@ -119,7 +139,7 @@ func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
 
 	if s.sequential {
 		for i := 0; i < shards; i++ {
-			s.runShard(i, i*n/shards, (i+1)*n/shards, x, k)
+			s.runShard(i, i*n/shards, (i+1)*n/shards, acc, grad, k)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -128,7 +148,7 @@ func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
 			wg.Add(1)
 			go func(i, lo, hi int) {
 				defer wg.Done()
-				s.runShard(i, lo, hi, x, k)
+				s.runShard(i, lo, hi, acc, grad, k)
 			}(i, lo, hi)
 		}
 		wg.Wait()
@@ -160,29 +180,35 @@ func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
 	}
 }
 
-// runShard selects shard i's candidates — the existing threshold-
-// quickselect over x[lo:hi] with indices rebased to the global space.
-func (s *ShardSelector) runShard(i, lo, hi int, x []float32, k int) {
+// runShard adds shard i's range of grad into acc and selects the
+// range's candidates with the serial kernel, indices rebased to the
+// global space.
+func (s *ShardSelector) runShard(i, lo, hi int, acc, grad []float32, k int) {
 	var start time.Time
 	if s.timed {
 		start = time.Now()
 	}
 	part := &s.parts[i]
+	var g []float32
+	if grad != nil {
+		g = grad[lo:hi]
+	}
 	if shardLen := hi - lo; k >= shardLen {
 		// Short shard: every entry is a candidate, zeros included
 		// (they can fill a zero-threshold global tie quota).
+		addInto(acc[lo:hi], g)
 		ensureVec(part, shardLen)
 		for j := 0; j < shardLen; j++ {
 			part.Indices[j] = int32(lo + j)
-			part.Values[j] = x[lo+j]
+			part.Values[j] = acc[lo+j]
 		}
 	} else {
-		TopKInto(part, x[lo:hi], k)
+		AccumulateTopKInto(part, &s.cands[i], acc[lo:hi], g, k)
 		for j := range part.Indices {
 			part.Indices[j] += int32(lo)
 		}
 	}
-	part.Dim = len(x)
+	part.Dim = len(acc)
 	if s.timed {
 		s.shardDur[i] = time.Since(start)
 	}

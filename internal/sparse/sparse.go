@@ -127,50 +127,89 @@ func TopK(x []float32, k int) *Vector {
 }
 
 // TopKInto is TopK writing into a caller-owned destination, reusing its
-// capacity. Selection order and tie-breaking are identical to TopK; the
-// sharded selection engine runs it per shard.
+// capacity. Selection order and tie-breaking are identical to TopK. It
+// is AccumulateTopKInto with nothing to accumulate, over a pooled
+// candidate buffer.
 func TopKInto(dst *Vector, x []float32, k int) {
-	dst.Dim = len(x)
-	if k <= 0 {
-		dst.Indices = dst.Indices[:0]
-		dst.Values = dst.Values[:0]
-		return
+	cand := GetVector()
+	AccumulateTopKInto(dst, cand, x, nil, k)
+	PutVector(cand)
+}
+
+// AccumulateTopKInto adds grad into acc element by element (acc[i] +=
+// grad[i], exactly tensor.AddInto; grad nil adds nothing) and writes the
+// k largest-magnitude entries of the updated acc into dst, exactly as
+// TopKInto(dst, acc, k) would: same entries, same order, same tie rule,
+// same bits. cand is caller-owned scratch that keeps its capacity
+// between calls, so a steady-state caller allocates nothing. This is the
+// error-feedback step of Algorithms 1/2/4 (accumulate, then select) as
+// one kernel.
+//
+// The fast kernels read acc twice instead of four times: the add is
+// fused with an 11-bit magnitude histogram, and one gather pass copies
+// the entries at or above the histogram bin holding the k-th largest
+// into cand, in ascending index order. The exact threshold is refined on
+// cand alone and the winners are emitted from it. Pure mode, inputs
+// holding a NaN and inputs below radixMinN take the reference route: the
+// add, then the quickselect threshold and the emit scan over acc.
+func AccumulateTopKInto(dst, cand *Vector, acc, grad []float32, k int) {
+	n := len(acc)
+	if grad != nil && len(grad) != n {
+		panic(fmt.Sprintf("sparse: AccumulateTopKInto over %d-element residual with %d-element gradient", n, len(grad)))
 	}
-	if k >= len(x) {
-		// All non-zero entries survive (FromDense semantics).
-		ensureVec(dst, len(x))
+	dst.Dim = n
+	if k <= 0 || k >= n {
+		addInto(acc, grad)
 		o := 0
-		for i, v := range x {
-			if v != 0 {
-				dst.Indices[o] = int32(i)
-				dst.Values[o] = v
-				o++
+		if k >= n {
+			// All non-zero entries survive (FromDense semantics).
+			ensureVec(dst, n)
+			for i, v := range acc {
+				if v != 0 {
+					dst.Indices[o] = int32(i)
+					dst.Values[o] = v
+					o++
+				}
 			}
 		}
 		dst.Indices = dst.Indices[:o]
 		dst.Values = dst.Values[:o]
 		return
 	}
-	// The radix fast path reads the dense values directly (it masks the
-	// sign bit in its own scan) and yields the strict-winner count as a
-	// by-product; the fallback inlines Threshold so the count comes from
-	// the same magnitude scratch (quickselect permutes it, which preserves
-	// the multiset) without recomputing any magnitudes. The remaining tie
-	// quota goes to the lowest-index entries at the threshold.
-	thr, strict, ok := selectThresholdVals(x, k)
+	// Emit from cand after the fused kernel, from acc otherwise. The
+	// remaining tie quota goes to the lowest-index entries at the
+	// threshold.
+	srcIdx, src := []int32(nil), acc
+	var thr float32
+	var strict int
+	ok := false
+	if n >= radixMinN && fastEnabled.Load() {
+		// The kernel applies the add even when it reports a NaN, whose
+		// bit pattern defeats the histogram.
+		thr, strict, ok = accumulateSelectFast(cand, acc, grad, k)
+		grad = nil
+		if ok {
+			srcIdx, src = cand.Indices, cand.Values
+		}
+	}
 	if !ok {
-		sp := getMagScratch(len(x))
-		mags := *sp
-		absInto(mags, x)
-		thr, strict = selectThreshold(mags, k)
-		magScratch.Put(sp)
+		addInto(acc, grad)
+		thr, strict = thresholdOf(acc, k)
 	}
 	// One slot of emit slack: the branchless fast scan stores rejected
-	// entries into the slot one past the last winner before truncation.
+	// entries into the slot one past the last winner.
 	ensureVec(dst, k+1)
-	o := emitTopK(dst.Indices, dst.Values, nil, x, thr, k-strict, k)
+	o := emitTopK(dst.Indices, dst.Values, srcIdx, src, thr, k-strict, k)
 	dst.Indices = dst.Indices[:o]
 	dst.Values = dst.Values[:o]
+}
+
+// addInto is acc += grad element by element (tensor.AddInto's loop);
+// grad nil adds nothing.
+func addInto(acc, grad []float32) {
+	for i, g := range grad {
+		acc[i] += g
+	}
 }
 
 // TopKSparse selects the k largest-magnitude stored entries of v. Hot
@@ -205,11 +244,7 @@ func Threshold(x []float32, k int) float32 {
 	if k < 1 || k > len(x) {
 		panic(fmt.Sprintf("sparse: Threshold k=%d with %d elements", k, len(x)))
 	}
-	sp := getMagScratch(len(x))
-	defer magScratch.Put(sp)
-	mags := *sp
-	absInto(mags, x)
-	thr, _ := selectThreshold(mags, k)
+	thr, _ := thresholdOf(x, k)
 	return thr
 }
 
