@@ -231,10 +231,12 @@ func TestSparsifierShardedSelectBitIdentical(t *testing.T) {
 }
 
 // TestSparsifierSelectZeroAlloc: Select returns the Sparsifier-owned
-// result and the fused kernel keeps its candidate scratch, so a
-// steady-state step allocates nothing, in either kernel mode. Every
-// measured call starts from the same residual so the candidate count,
-// and with it the scratch size, is the same each time.
+// result and the fused kernel keeps its candidate and block-summary
+// scratch, so a steady-state step allocates nothing, in either kernel
+// mode, serial and over two shards (each shard owns its own scratch).
+// Every measured call starts from the same residual so the candidate
+// count, and with it the scratch size, is the same each time. k sits
+// below the block-summary gate, so the fast mode runs the summary path.
 func TestSparsifierSelectZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops puts at random; allocation counts are not deterministic")
@@ -252,7 +254,14 @@ func TestSparsifierSelectZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	for _, mode := range []string{sparse.KernelsPure, sparse.KernelsFast} {
+	for _, c := range []struct {
+		mode   string
+		shards int
+	}{
+		{sparse.KernelsPure, 1}, {sparse.KernelsFast, 1},
+		{sparse.KernelsPure, 2}, {sparse.KernelsFast, 2},
+	} {
+		mode := c.mode
 		if mode == sparse.KernelsFast && !sparse.FastKernelsAvailable() {
 			continue
 		}
@@ -260,6 +269,7 @@ func TestSparsifierSelectZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := NewSparsifier(dim)
+		sp.SetShards(c.shards)
 		for i := 0; i < 3; i++ { // warm-up: carry a residual
 			if _, err := sp.Select(grad, k); err != nil {
 				t.Fatal(err)
@@ -276,7 +286,7 @@ func TestSparsifierSelectZeroAlloc(t *testing.T) {
 		}
 		step()
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Fatalf("%s kernels: Select allocates %v times per op, want 0", mode, allocs)
+			t.Fatalf("%s kernels, %d shards: Select allocates %v times per op, want 0", mode, c.shards, allocs)
 		}
 	}
 }

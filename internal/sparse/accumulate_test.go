@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/tensor"
 )
 
@@ -42,7 +43,10 @@ const pureCheckMaxN = 1 << 12
 // checkAccumulate runs AccumulateTopKInto on a copy of acc and fails
 // unless both the selection and the updated residual match the
 // reference bit for bit. It runs under the fast kernels where the build
-// has them, and under the pure kernels up to pureCheckMaxN.
+// has them, and under the pure kernels up to pureCheckMaxN. Under the
+// fast kernels it also fails unless k below the block-summary gate ran
+// the summary kernel, so a check meant for that kernel cannot pass on
+// the other one.
 func checkAccumulate(t *testing.T, label string, acc, grad []float32, k int) {
 	t.Helper()
 	var modes []string
@@ -59,8 +63,11 @@ func checkAccumulate(t *testing.T, label string, acc, grad []float32, k int) {
 	want := accumulateReference(t, wantAcc, grad, k)
 	for _, mode := range modes {
 		gotAcc := append([]float32(nil), acc...)
-		got, cand := &Vector{}, &Vector{}
-		withKernels(t, mode, func() { AccumulateTopKInto(got, cand, gotAcc, grad, k) })
+		got, sc := &Vector{}, &SelectScratch{}
+		withKernels(t, mode, func() { AccumulateTopKInto(got, sc, gotAcc, grad, k) })
+		if mode == KernelsFast && (sc.blockMax != nil) != blockSummaryRuns(len(acc), k) {
+			t.Fatalf("%s k=%d: block summary ran %v, want %v", label, k, sc.blockMax != nil, blockSummaryRuns(len(acc), k))
+		}
 		if !vectorsEqualBits(want, got) {
 			t.Fatalf("%s %s k=%d: selection differs from AddInto+TopKInto (nnz %d vs %d)",
 				label, mode, k, want.NNZ(), got.NNZ())
@@ -74,10 +81,70 @@ func checkAccumulate(t *testing.T, label string, acc, grad []float32, k int) {
 	}
 }
 
+// blockSummaryRuns reports whether the fast kernels run the block-max
+// summary pass: from radixMinN on, for 1 <= k <= n/blockSummaryMaxDensity.
+// With a NaN in the input the pass runs too; it finds the NaN and hands
+// the selection to the reference.
+func blockSummaryRuns(n, k int) bool {
+	return n >= radixMinN && k >= 1 && k*blockSummaryMaxDensity <= n
+}
+
+// blockInputFamilies generates inputs aimed at the block-max summary:
+// one spike per block over small noise; every block sharing the exact
+// same max (ties at the summary's bound); blocks of only ±0 between
+// Gaussian ones; sparse ±Inf (the sign fixed by position, so adding
+// two members never makes Inf-Inf); and a NaN in the partial tail
+// block only (n is not a multiple of blockLen there).
+func blockInputFamilies(seed uint64, n int) map[string][]float32 {
+	src := prng.New(seed)
+	negZero := float32(math.Copysign(0, -1))
+	spikes := make([]float32, n)
+	ties := make([]float32, n)
+	zeroBlocks := make([]float32, n)
+	inf := make([]float32, n)
+	tailNaN := make([]float32, n)
+	for b := 0; b*blockLen < n; b++ {
+		start, end := b*blockLen, min((b+1)*blockLen, n)
+		spike := start + int(src.Uint64()%uint64(end-start))
+		zero := b%3 == 1
+		for i := start; i < end; i++ {
+			g := float32(src.NormFloat64())
+			spikes[i] = g * 1e-3
+			ties[i] = g * 0.25
+			if i == spike {
+				spikes[i] = g * 100
+				ties[i] = 1
+				if src.Uint64()%2 == 0 {
+					ties[i] = -1
+				}
+			}
+			switch {
+			case !zero:
+				zeroBlocks[i] = g
+			case i%2 == 0:
+				zeroBlocks[i] = negZero
+			}
+			inf[i] = g
+			if i%97 == 0 {
+				inf[i] = float32(math.Inf(1 - 2*(i/97%2)))
+			}
+			tailNaN[i] = g
+		}
+	}
+	if n%blockLen != 0 {
+		tailNaN[n-1-int(src.Uint64()%uint64(n%blockLen))] = float32(math.NaN())
+	}
+	return map[string][]float32{
+		"spikes": spikes, "block-ties": ties, "zero-blocks": zeroBlocks,
+		"inf": inf, "tail-NaN": tailNaN,
+	}
+}
+
 // TestAccumulateTopKIntoMatchesReference pins the fused kernel to the
 // unfused AddInto + TopKInto on every input family, on both sides of
-// the fused size gate, for k from 1 to n and with and without a
-// gradient to add.
+// the fused size gate, for k from 1 to n, at the block-summary gate and
+// one either side of it, and with and without a gradient to add. Every
+// size from radixMinN on leaves a partial tail block.
 func TestAccumulateTopKIntoMatchesReference(t *testing.T) {
 	for _, n := range []int{777, radixMinN + 5, 1<<16 + 5} {
 		accs := kernelInputFamilies(uint64(n), n)
@@ -88,8 +155,15 @@ func TestAccumulateTopKIntoMatchesReference(t *testing.T) {
 			// route is checked below on a Gaussian input instead.
 			delete(accs, "wild")
 		}
+		for name, acc := range blockInputFamilies(uint64(n)+2, n) {
+			accs[name] = acc
+		}
+		for name, grad := range blockInputFamilies(uint64(n)+3, n) {
+			grads[name] = grad
+		}
+		gate := n / blockSummaryMaxDensity
 		for name, acc := range accs {
-			for _, k := range []int{0, 1, n/1000 + 1, n / 3, n - 1, n} {
+			for _, k := range []int{0, 1, n/1000 + 1, gate - 1, gate, gate + 1, n / 3, n - 1, n} {
 				label := fmt.Sprintf("%s n=%d", name, n)
 				checkAccumulate(t, label, acc, grads[name], k)
 				checkAccumulate(t, label+" nil grad", acc, nil, k)
@@ -103,6 +177,18 @@ func TestAccumulateTopKIntoMatchesReference(t *testing.T) {
 	checkAccumulate(t, "NaN in grad", acc, grad, n/1000+1)
 	acc[7] = float32(math.NaN())
 	checkAccumulate(t, "NaN in acc", acc, nil, n/1000+1)
+	// A NaN in both operands at one index, in a full block and in the
+	// partial tail block, on both fused kernels and in pure mode.
+	n = radixMinN + 5
+	fam = kernelInputFamilies(10, n)
+	acc, grad = fam["normal"], fam["skew"]
+	for _, i := range []int{n / 2, n - 2} {
+		acc[i] = math.Float32frombits(0xffc00001)
+		grad[i] = math.Float32frombits(0x7fc00002)
+	}
+	for _, k := range []int{2, n / 3} {
+		checkAccumulate(t, "NaN in both", acc, grad, k)
+	}
 }
 
 // TestAccumulateTopKIntoCarriedResidual drives the kernel through
@@ -118,11 +204,11 @@ func TestAccumulateTopKIntoCarriedResidual(t *testing.T) {
 	grads := [][]float32{fam["normal"], fam["ties"], fam["skew"], fam["zeros"]}
 	ref := make([]float32, n)
 	acc := make([]float32, n)
-	got, cand := &Vector{}, &Vector{}
+	got, sc := &Vector{}, &SelectScratch{}
 	for step := 0; step < 12; step++ {
 		grad := grads[step%len(grads)]
 		want := accumulateReference(t, ref, grad, k)
-		AccumulateTopKInto(got, cand, acc, grad, k)
+		AccumulateTopKInto(got, sc, acc, grad, k)
 		if !vectorsEqualBits(want, got) {
 			t.Fatalf("step %d: selection differs from the reference", step)
 		}
@@ -146,7 +232,7 @@ func TestAccumulateTopKIntoGradLength(t *testing.T) {
 			t.Fatal("mismatched gradient length accepted")
 		}
 	}()
-	AccumulateTopKInto(&Vector{}, &Vector{}, make([]float32, 4), make([]float32, 3), 1)
+	AccumulateTopKInto(&Vector{}, &SelectScratch{}, make([]float32, 4), make([]float32, 3), 1)
 }
 
 // TestShardSelectorAccumulateMatchesSerial: with a gradient to add, the
@@ -161,7 +247,7 @@ func TestShardSelectorAccumulateMatchesSerial(t *testing.T) {
 		for _, k := range []int{1, 100, n / 3, n - 1} {
 			wantAcc := append([]float32(nil), fam[name]...)
 			want := &Vector{}
-			AccumulateTopKInto(want, &Vector{}, wantAcc, grad, k)
+			AccumulateTopKInto(want, &SelectScratch{}, wantAcc, grad, k)
 			for _, shards := range []int{2, 3, 4} {
 				gotAcc := append([]float32(nil), fam[name]...)
 				got := &Vector{}

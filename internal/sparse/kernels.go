@@ -16,11 +16,12 @@ import (
 // as the pure ones, so results — including quickselect's pivot-driven
 // permutations and behaviour on NaN/Inf inputs — are bit-identical by
 // construction, not just in expectation; the histogram threshold
-// selectors (the radix descent and the fused accumulate-and-select
-// kernel) are the algorithmic substitutions, and they compute a value
-// (the k-th largest of a multiset) that no algorithm can disagree on,
-// falling back to the quickselect reference whenever NaNs make float
-// ordering and bit ordering diverge. The active variant is a
+// selectors (the radix descent and the two fused accumulate-and-select
+// kernels: the block-max summary for k <= n/40 and the two-pass 11-bit
+// histogram above it) are the algorithmic substitutions, and they
+// compute a value (the k-th largest of a multiset) that no algorithm can
+// disagree on, falling back to the quickselect reference whenever NaNs
+// make float ordering and bit ordering diverge. The active variant is a
 // process-wide mode, selectable at startup via SetKernels (the CLI
 // -kernels flag) and defaulting to fast where available.
 
@@ -38,6 +39,23 @@ const (
 // that dominates when the scan itself is only a few hundred elements.
 // Below the gate the dispatchers run the quickselect reference instead.
 const radixMinN = 1024
+
+// blockLen is the number of residual entries one word of the block-max
+// summary covers: 64 bytes of float32s, one cache line.
+const blockLen = 16
+
+// blockSummaryMaxDensity gates the block-max summary kernel: it runs
+// when k*blockSummaryMaxDensity <= n, i.e. for k up to n/40. The
+// summary cannot serve k above n/blockLen at all (fewer block maxima
+// than k), and as k grows, more blocks hold a candidate and re-reading
+// them costs more than the two-pass kernel's dense gather. Measured at
+// n = 4M on a 2 vCPU Xeon (BenchmarkSparsifierSelect with the gate
+// forced each way, carried residual, medians of 10 alternated runs,
+// summary vs two-pass): rho 0.01 14.1 vs 16.3 ms/op (summary faster in
+// 10 of 10), 0.015 16.4 vs 18.5 (9 of 10), 0.02 18.0 vs 18.8 (7 of
+// 10), 0.025 20.1 vs 20.2 (4 of 10), 0.03 22.2 vs 21.3 (2 of 10), tied
+// from 0.035 to 0.05, 0.055 27.5 vs 24.4 (1 of 10).
+const blockSummaryMaxDensity = 40
 
 // fastEnabled gates every kernel dispatch. Atomic so tests and the fuzz
 // harness can flip modes without racing in-flight benchmark goroutines;

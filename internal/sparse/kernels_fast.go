@@ -259,11 +259,186 @@ func radixSelectKthLargest(vals []float32, k int) (thr float32, strict int, ok b
 // more than the k winners. The mask proves the index in range.
 func magBin(u uint32) uint32 { return (u >> 20) & 0x7ff }
 
-// accumulateSelectFast is AccumulateTopKInto's fast kernel. Pass 1 adds
-// grad into acc (when grad is non-nil) and histograms the sums' top 11
-// magnitude bits, striped over two counter banks so consecutive
-// increments stay independent, while a branch-free flag collects NaNs.
-// The bin walk then finds the bin holding the k-th largest, and pass 2
+// accumulateSelectFast is AccumulateTopKInto's fast kernel. It routes k
+// small against the block count (blockSummaryMaxDensity) to the
+// block-max summary kernel and the rest to the two-pass histogram
+// kernel; both leave their candidates in sc.cand.
+func accumulateSelectFast(sc *SelectScratch, acc, grad []float32, k int) (thr float32, strict int, ok bool) {
+	if k*blockSummaryMaxDensity <= len(acc) {
+		return accumulateSelectBlocks(sc, acc, grad, k)
+	}
+	return accumulateSelectTwoPass(&sc.cand, acc, grad, k)
+}
+
+// accumulateSelectBlocks is the block-max summary kernel: one pass over
+// acc adds grad and writes, per blockLen-entry block, the largest
+// sign-free magnitude bits into sc.blockMax. Only those n/blockLen
+// maxima are histogrammed, by their top 16 bits (8 exponent and 8
+// mantissa bits), and lo is the lower edge of the bin holding the k-th
+// largest block max. At least k blocks have a max at or above lo, so at
+// least k entries do, and the k-th largest entry reaches lo: every entry
+// the emit can select sits in a block whose max reaches lo. Only those
+// blocks (about k of them) are read again, and their entries at or
+// above lo are gathered into sc.cand in ascending index order. The
+// exact threshold is then found on the candidates alone.
+//
+// A NaN shows in its block's max, because its bit pattern exceeds
+// +Inf's; ok=false then, with the add applied (addRestAfterNaN), as in
+// the two-pass kernel.
+func accumulateSelectBlocks(sc *SelectScratch, acc, grad []float32, k int) (thr float32, strict int, ok bool) {
+	n := len(acc)
+	full := n / blockLen
+	nb := (n + blockLen - 1) / blockLen
+	if cap(sc.blockMax) < nb {
+		sc.blockMax = make([]uint32, nb)
+	}
+	bm := sc.blockMax[:nb]
+	// top and bottom bound the block maxima, so the histogram clears
+	// and walks only the bins they span.
+	top, bottom := uint32(0), ^uint32(0)
+	var d *[blockLen]float32
+	for b := 0; b < full; b++ {
+		a := (*[blockLen]float32)(acc[b*blockLen:])
+		if grad != nil {
+			d = (*[blockLen]float32)(grad[b*blockLen:])
+		}
+		old := *a
+		m := addBlockMax(a, d)
+		if m > infBits {
+			if grad == nil {
+				return 0, 0, false
+			}
+			*a = old
+			return addRestAfterNaN(acc[b*blockLen:], grad[b*blockLen:])
+		}
+		bm[b] = m
+		top, bottom = max(top, m), min(bottom, m)
+	}
+	if full < nb {
+		// The partial tail block.
+		tail := acc[full*blockLen:]
+		if grad != nil {
+			addInto(tail, grad[full*blockLen:])
+		}
+		m := uint32(0)
+		for _, v := range tail {
+			m = max(m, math.Float32bits(v)&^signMask32)
+		}
+		if m > infBits {
+			return 0, 0, false
+		}
+		bm[full] = m
+		top, bottom = max(top, m), min(bottom, m)
+	}
+	if sc.hist == nil {
+		sc.hist = new([1 << 15]int32)
+	}
+	h := sc.hist
+	clear(h[bottom>>16 : top>>16+1])
+	for _, m := range bm {
+		// Sign-free bits have their top bit clear, so the mask only
+		// proves the index in range.
+		h[(m>>16)&(1<<15-1)]++
+	}
+	// want is the 1-based rank (from the top) of the k-th largest block
+	// max inside the chosen bin; k <= nb, so the walk stops in range.
+	want := k
+	b := top >> 16
+	for {
+		c := int(h[b])
+		if want <= c {
+			break
+		}
+		want -= c
+		b--
+	}
+	// blocks counts the block maxima at or above lo. A block max reaches
+	// lo exactly when its top 16 bits reach the bin.
+	blocks := k - want + int(h[b])
+	lo := b << 16
+	// Each block at or above lo gives at most blockLen candidates.
+	if need := blocks * blockLen; cap(sc.cand.Indices) < need || cap(sc.cand.Values) < need {
+		ensureVec(&sc.cand, need+need/4)
+	}
+	ci, cv := sc.cand.Indices[:cap(sc.cand.Indices)], sc.cand.Values[:cap(sc.cand.Values)]
+	o := 0
+	for bi, m := range bm {
+		if m < lo {
+			continue
+		}
+		start := bi * blockLen
+		// Store every entry of the block, advance past those at or
+		// above lo: about one entry per block passes, so a branch
+		// would mispredict once per block.
+		for j, v := range acc[start:min(start+blockLen, n)] {
+			ci[o] = int32(start + j)
+			cv[o] = v
+			if math.Float32bits(v)&^signMask32 >= lo {
+				o++
+			}
+		}
+	}
+	sc.cand.Dim = n
+	sc.cand.Indices, sc.cand.Values = ci[:o], cv[:o]
+	thr, strict = thresholdOf(sc.cand.Values, k)
+	return thr, strict, true
+}
+
+// addBlockMax adds d into a (d nil adds nothing) and returns the largest
+// sign-free magnitude bits of the sums. Written as a tree in a function
+// of its own, the maxima lower to conditional moves. Inlined into the
+// block loop, or written as a running max, they compile to branches (the
+// compiler declines a conditional move where the join carries more than
+// one value), which mispredict on gradient data: the summary pass
+// measured 3x slower that way. A call per 64-byte block costs little.
+//
+//go:noinline
+func addBlockMax(a, d *[blockLen]float32) uint32 {
+	if d != nil {
+		add4((*[4]float32)(a[0:4]), (*[4]float32)(d[0:4]))
+		add4((*[4]float32)(a[4:8]), (*[4]float32)(d[4:8]))
+		add4((*[4]float32)(a[8:12]), (*[4]float32)(d[8:12]))
+		add4((*[4]float32)(a[12:16]), (*[4]float32)(d[12:16]))
+	}
+	// Read the sums back as bit patterns: they come from the store
+	// buffer, and no float register moves to an integer one.
+	u := (*[blockLen]uint32)(unsafe.Pointer(a))
+	return max(max4((*[4]uint32)(u[0:4])), max4((*[4]uint32)(u[4:8])),
+		max4((*[4]uint32)(u[8:12])), max4((*[4]uint32)(u[12:16])))
+}
+
+// addRestAfterNaN is the fast kernels' exit on a NaN sum: acc and grad
+// start at the first entry not yet added, and addInto adds the rest.
+// Where both operands are NaN, Go leaves the sum's payload to the
+// compiled code, and the kernels' unrolled add and tensor.AddInto's
+// loop keep different operands' payloads in one build or another;
+// addInto is the reference's own compiled loop. Before the first NaN,
+// addition commutes and the kernels' sums are the reference's bits.
+func addRestAfterNaN(acc, grad []float32) (float32, int, bool) {
+	addInto(acc, grad)
+	return 0, 0, false
+}
+
+// add4 is a += d over four entries, unrolled.
+func add4(a, d *[4]float32) {
+	a[0] += d[0]
+	a[1] += d[1]
+	a[2] += d[2]
+	a[3] += d[3]
+}
+
+// max4 returns the largest sign-free magnitude bits of four entries.
+func max4(u *[4]uint32) uint32 {
+	return max(max(u[0]&^signMask32, u[1]&^signMask32), max(u[2]&^signMask32, u[3]&^signMask32))
+}
+
+// accumulateSelectTwoPass is the histogram kernel for k above the
+// block-summary gate. Pass 1 adds grad into acc (when grad is non-nil)
+// and histograms the sums' top 11 magnitude bits, striped over two
+// counter banks so consecutive increments stay independent. With a
+// gradient each pair of sums is checked for a NaN before it is stored
+// (addRestAfterNaN); without one a branch-free flag collects NaNs. The
+// bin walk then finds the bin holding the k-th largest, and pass 2
 // gathers every entry at or above that bin into cand in ascending index
 // order. The exact threshold is refined on cand's entries of that bin,
 // on the remaining 20 bits in two 10-bit levels. Every entry whose
@@ -271,37 +446,37 @@ func magBin(u uint32) uint32 { return (u >> 20) & 0x7ff }
 // emit scan over cand selects exactly what a scan over acc would.
 //
 // ok=false means acc holds a NaN, whose bit pattern does not order like
-// its value; the add has still been applied and the caller selects with
-// the quickselect reference.
-func accumulateSelectFast(cand *Vector, acc, grad []float32, k int) (thr float32, strict int, ok bool) {
+// its value; the add has still been applied and the caller selects
+// with the quickselect reference.
+func accumulateSelectTwoPass(cand *Vector, acc, grad []float32, k int) (thr float32, strict int, ok bool) {
 	n := len(acc)
 	var h [2][2048]int32
-	// nan collects infBits-u over all magnitudes u: the subtraction wraps
-	// and sets the top bit exactly when u is a NaN pattern (u > infBits).
-	var nan uint32
 	i := 0
 	if grad != nil {
 		g := grad[:n]
 		for ; i+2 <= n; i += 2 {
 			v0, v1 := acc[i]+g[i], acc[i+1]+g[i+1]
-			acc[i], acc[i+1] = v0, v1
 			u0 := math.Float32bits(v0) &^ signMask32
 			u1 := math.Float32bits(v1) &^ signMask32
-			nan |= (infBits - u0) | (infBits - u1)
+			if max(u0, u1) > infBits {
+				// A NaN sum, checked before the pair is stored.
+				return addRestAfterNaN(acc[i:], g[i:])
+			}
+			acc[i], acc[i+1] = v0, v1
 			h[0][magBin(u0)]++
 			h[1][magBin(u1)]++
 		}
-		if i < n {
-			acc[i] += g[i]
-		}
-	} else {
-		for ; i+2 <= n; i += 2 {
-			u0 := math.Float32bits(acc[i]) &^ signMask32
-			u1 := math.Float32bits(acc[i+1]) &^ signMask32
-			nan |= (infBits - u0) | (infBits - u1)
-			h[0][magBin(u0)]++
-			h[1][magBin(u1)]++
-		}
+		addInto(acc[i:], g[i:])
+	}
+	// nan collects infBits-u over all magnitudes u: the subtraction wraps
+	// and sets the top bit exactly when u is a NaN pattern (u > infBits).
+	var nan uint32
+	for ; i+2 <= n; i += 2 {
+		u0 := math.Float32bits(acc[i]) &^ signMask32
+		u1 := math.Float32bits(acc[i+1]) &^ signMask32
+		nan |= (infBits - u0) | (infBits - u1)
+		h[0][magBin(u0)]++
+		h[1][magBin(u1)]++
 	}
 	if i < n {
 		u := math.Float32bits(acc[i]) &^ signMask32

@@ -34,7 +34,7 @@ func checkIndicesFast(indices []int32, dim int) error { return checkIndicesPure(
 
 func radixSelectKthLargest(mags []float32, k int) (float32, int, bool) { return 0, 0, false }
 
-func accumulateSelectFast(cand *Vector, acc, grad []float32, k int) (float32, int, bool) {
+func accumulateSelectFast(sc *SelectScratch, acc, grad []float32, k int) (float32, int, bool) {
 	addInto(acc, grad)
 	return 0, 0, false
 }

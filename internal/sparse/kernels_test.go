@@ -263,16 +263,26 @@ func fuzzFloatBytes(vals ...float32) []byte {
 	return out
 }
 
+// fuzzTailPrefix is the length of the Gaussian residual checkAccumulateFuzz
+// embeds a fuzz input behind: past the fused kernel's size gate, and
+// not a multiple of blockLen, so a short input ends in the partial tail
+// block.
+const fuzzTailPrefix = radixMinN + 3
+
 // checkAccumulateFuzz pins AccumulateTopKInto to AddInto + TopKInto on
-// a fuzz input: x is the residual and its reverse the gradient, both at
-// the fuzz size and tiled past the fused kernel's size gate. Tiling
-// repeats every value thousands of times, which makes heavy ties the
-// normal case. k keeps its distance from both ends of the range, so
-// k = 1, n-1 and n map to 1, N-1 and N. The tiled check needs the fast
-// kernels (pure mode runs the same code at every size) and skips inputs
-// with a NaN or an infinity (Inf-Inf sums are NaN): their tiled
-// duplicates send the quickselect fallback of both sides into quadratic
-// time. The unit tests cover that route.
+// a fuzz input: x is the residual and its reverse the gradient, at the
+// fuzz size, as the tail of a longer Gaussian residual, and tiled past
+// the fused kernel's size gate. The tail check carries the input's NaNs
+// and infinities into the block-max summary, with k unchanged (so small
+// k runs the summary kernel); an input of up to 12 entries lies wholly
+// in the partial tail block. The Gaussian prefix keeps the quickselect
+// fallback linear. Tiling repeats every value thousands of times, which
+// makes heavy ties the normal case. k keeps its distance from both ends
+// of the range, so k = 1, n-1 and n map to 1, N-1 and N. The tail and
+// tiled checks need the fast kernels (pure mode runs the same code at
+// every size). The tiled check skips inputs with a NaN or an infinity
+// (Inf-Inf sums are NaN): their tiled duplicates send the quickselect
+// fallback of both sides into quadratic time.
 func checkAccumulateFuzz(t *testing.T, x []float32, k int) {
 	n := len(x)
 	grad := make([]float32, n)
@@ -282,7 +292,19 @@ func checkAccumulateFuzz(t *testing.T, x []float32, k int) {
 		finite = finite && !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
 	}
 	checkAccumulate(t, "fuzz", x, grad, k)
-	if !FastKernelsAvailable() || !finite {
+	if !FastKernelsAvailable() {
+		return
+	}
+	src := prng.New(uint64(n))
+	tailAcc, tailGrad := make([]float32, fuzzTailPrefix+n), make([]float32, fuzzTailPrefix+n)
+	for i := 0; i < fuzzTailPrefix; i++ {
+		tailAcc[i] = float32(src.NormFloat64())
+		tailGrad[i] = float32(src.NormFloat64())
+	}
+	copy(tailAcc[fuzzTailPrefix:], x)
+	copy(tailGrad[fuzzTailPrefix:], grad)
+	checkAccumulate(t, "fuzz tail", tailAcc, tailGrad, k)
+	if !finite {
 		return
 	}
 	big := radixMinN + n
@@ -322,6 +344,26 @@ func FuzzKernelsEquiv(f *testing.F) {
 			f.Add(kRaw, fuzzFloatBytes(seed...))
 		}
 	}
+	// Block-max summary seeds: k = 1 and 3 stay under the gate in the
+	// tail and tiled checks. Five entries sit inside the tail check's
+	// partial block, with a NaN, an infinity or a tie as its max; 37
+	// entries tile to a length with a partial tail block.
+	for _, seed := range [][]float32{
+		{0.5, -2, 1, 0.25, nan},
+		{nan, 0.5, -2, 1, 0.25},
+		{0.5, -2, inf, 0.25, 1},
+		{-3, 3, 0, negZero, -3},
+	} {
+		for _, kRaw := range []uint8{0, 2} {
+			f.Add(kRaw, fuzzFloatBytes(seed...))
+		}
+	}
+	tiled := make([]float32, 37)
+	for i := range tiled {
+		tiled[i] = float32(i%5) - 2.5
+	}
+	tiled[36] = 9
+	f.Add(uint8(2), fuzzFloatBytes(tiled...))
 	f.Fuzz(func(t *testing.T, kRaw uint8, raw []byte) {
 		x := fuzzFloats(raw, 256)
 		if len(x) == 0 {

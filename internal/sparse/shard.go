@@ -40,15 +40,39 @@ const minShardElems = 1 << 15
 // concurrent use (one selector per goroutine — e.g. per bucket of the
 // bucketed pipeline), though independent selectors may run concurrently.
 type ShardSelector struct {
-	shards int
-	parts  []Vector
-	cands  []Vector // per-shard candidate scratch of AccumulateTopKInto
-	cand   Vector   // merge input, or the serial path's candidate scratch
+	shards  int
+	parts   []Vector
+	scratch []SelectScratch // per-shard; the serial path uses shard 0's
+	cand    Vector          // merge input
+
+	// The current call's operands, shared by its shard jobs.
+	acc, grad []float32
+	k, active int
+	wg        sync.WaitGroup
 
 	timed      bool
 	sequential bool
 	shardDur   []time.Duration
 	mergeDur   time.Duration
+}
+
+// shardJob names one shard of a selector's current call.
+type shardJob struct {
+	s *ShardSelector
+	i int
+}
+
+// shardJobs hands shard jobs to the goroutines started for them. A go
+// statement whose function captures nothing needs no heap closure, so
+// each started goroutine receives its job here and the concurrent path
+// allocates nothing. One goroutine starts per job sent, so every send
+// finds a receiver.
+var shardJobs = make(chan shardJob)
+
+func runShardJob() {
+	j := <-shardJobs
+	j.s.runShard(j.i)
+	j.s.wg.Done()
 }
 
 // NewShardSelector creates a selector with the given shard count;
@@ -60,7 +84,7 @@ func NewShardSelector(shards int) *ShardSelector {
 	return &ShardSelector{
 		shards:   shards,
 		parts:    make([]Vector, shards),
-		cands:    make([]Vector, shards),
+		scratch:  make([]SelectScratch, shards),
 		shardDur: make([]time.Duration, shards),
 	}
 }
@@ -125,7 +149,7 @@ func (s *ShardSelector) AccumulateTopKInto(dst *Vector, acc, grad []float32, k i
 		if s.timed {
 			start = time.Now()
 		}
-		AccumulateTopKInto(dst, &s.cand, acc, grad, k)
+		AccumulateTopKInto(dst, &s.scratch[0], acc, grad, k)
 		if s.timed {
 			s.shardDur = s.shardDur[:1]
 			s.shardDur[0] = time.Since(start)
@@ -137,22 +161,22 @@ func (s *ShardSelector) AccumulateTopKInto(dst *Vector, acc, grad []float32, k i
 		s.shardDur = s.shardDur[:shards]
 	}
 
+	s.acc, s.grad, s.k, s.active = acc, grad, k, shards
 	if s.sequential {
 		for i := 0; i < shards; i++ {
-			s.runShard(i, i*n/shards, (i+1)*n/shards, acc, grad, k)
+			s.runShard(i)
 		}
 	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			lo, hi := i*n/shards, (i+1)*n/shards
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				s.runShard(i, lo, hi, acc, grad, k)
-			}(i, lo, hi)
+		// Shard 0 runs in the calling goroutine.
+		s.wg.Add(shards - 1)
+		for i := 1; i < shards; i++ {
+			go runShardJob()
+			shardJobs <- shardJob{s, i}
 		}
-		wg.Wait()
+		s.runShard(0)
+		s.wg.Wait()
 	}
+	s.acc, s.grad = nil, nil
 
 	var start time.Time
 	if s.timed {
@@ -183,7 +207,9 @@ func (s *ShardSelector) AccumulateTopKInto(dst *Vector, acc, grad []float32, k i
 // runShard adds shard i's range of grad into acc and selects the
 // range's candidates with the serial kernel, indices rebased to the
 // global space.
-func (s *ShardSelector) runShard(i, lo, hi int, acc, grad []float32, k int) {
+func (s *ShardSelector) runShard(i int) {
+	acc, grad, k := s.acc, s.grad, s.k
+	lo, hi := i*len(acc)/s.active, (i+1)*len(acc)/s.active
 	var start time.Time
 	if s.timed {
 		start = time.Now()
@@ -203,7 +229,7 @@ func (s *ShardSelector) runShard(i, lo, hi int, acc, grad []float32, k int) {
 			part.Values[j] = acc[lo+j]
 		}
 	} else {
-		AccumulateTopKInto(part, &s.cands[i], acc[lo:hi], g, k)
+		AccumulateTopKInto(part, &s.scratch[i], acc[lo:hi], g, k)
 		for j := range part.Indices {
 			part.Indices[j] += int32(lo)
 		}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"gtopkssgd/internal/prng"
@@ -63,6 +64,38 @@ func TestShardSelectorBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardSelectorConcurrentSelectors runs independent selectors at
+// once, as the bucketed pipeline does. Their shard jobs share one
+// hand-off channel, so a job must reach a goroutine that runs it for
+// its own selector: every result must still be the serial selection.
+func TestShardSelectorConcurrentSelectors(t *testing.T) {
+	const n, k = 3 * minShardElems, 500
+	inputs := shardInputs(t, n)
+	want := map[string]*Vector{}
+	for name, x := range inputs {
+		want[name] = TopK(x, k)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sel := NewShardSelector(3)
+			dst := &Vector{}
+			for rep := 0; rep < 3; rep++ {
+				for name, x := range inputs {
+					sel.TopKInto(dst, x, k)
+					if !vectorsEqualBits(want[name], dst) {
+						t.Errorf("selector %d %s rep %d: differs from the serial selection", g, name, rep)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestShardSelectorReuse runs one selector across shrinking and growing

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"gtopkssgd/internal/tensor"
 )
 
 // Vector is a sparse view of a length-Dim dense vector: Values[i] lives at
@@ -128,31 +130,53 @@ func TopK(x []float32, k int) *Vector {
 
 // TopKInto is TopK writing into a caller-owned destination, reusing its
 // capacity. Selection order and tie-breaking are identical to TopK. It
-// is AccumulateTopKInto with nothing to accumulate, over a pooled
-// candidate buffer.
+// is AccumulateTopKInto with nothing to accumulate, over pooled
+// scratch.
 func TopKInto(dst *Vector, x []float32, k int) {
-	cand := GetVector()
-	AccumulateTopKInto(dst, cand, x, nil, k)
-	PutVector(cand)
+	sc := selectScratchPool.Get().(*SelectScratch)
+	AccumulateTopKInto(dst, sc, x, nil, k)
+	selectScratchPool.Put(sc)
 }
+
+// SelectScratch is the working memory of AccumulateTopKInto: the
+// candidate gather and, for k small against n, the block-max summary
+// (n/16 words) and its histogram over the summary's top 16 bits, whose
+// first bit is always clear (2^15 counters, 128 KiB). The zero value is
+// ready to use and keeps its capacity between calls, so a steady-state
+// caller allocates nothing. It is not safe for concurrent use.
+type SelectScratch struct {
+	cand     Vector
+	blockMax []uint32
+	hist     *[1 << 15]int32
+}
+
+// selectScratchPool recycles TopKInto's scratch.
+var selectScratchPool = sync.Pool{New: func() any { return new(SelectScratch) }}
 
 // AccumulateTopKInto adds grad into acc element by element (acc[i] +=
 // grad[i], exactly tensor.AddInto; grad nil adds nothing) and writes the
 // k largest-magnitude entries of the updated acc into dst, exactly as
 // TopKInto(dst, acc, k) would: same entries, same order, same tie rule,
-// same bits. cand is caller-owned scratch that keeps its capacity
-// between calls, so a steady-state caller allocates nothing. This is the
+// same bits. sc is caller-owned scratch that keeps its capacity between
+// calls, so a steady-state caller allocates nothing. This is the
 // error-feedback step of Algorithms 1/2/4 (accumulate, then select) as
 // one kernel.
 //
-// The fast kernels read acc twice instead of four times: the add is
-// fused with an 11-bit magnitude histogram, and one gather pass copies
-// the entries at or above the histogram bin holding the k-th largest
-// into cand, in ascending index order. The exact threshold is refined on
-// cand alone and the winners are emitted from it. Pure mode, inputs
-// holding a NaN and inputs below radixMinN take the reference route: the
-// add, then the quickselect threshold and the emit scan over acc.
-func AccumulateTopKInto(dst, cand *Vector, acc, grad []float32, k int) {
+// The fast kernels substitute two exact selection algorithms for the
+// reference, chosen by k/n. For k <= n/40 (blockSummaryMaxDensity) they
+// read acc once: the add is fused with a block-max summary (the largest
+// magnitude of each 16 entries), a 16-bit histogram of the summary
+// bounds the k-th largest magnitude from below, and only the blocks
+// whose max reaches that bound are read again to gather candidates. For
+// larger k they read acc twice: the add is fused with an 11-bit
+// magnitude histogram, and one gather pass copies the entries at or
+// above the bin holding the k-th largest. Either way the candidates are
+// every entry that can win, in ascending index order; the exact
+// threshold is found on them alone and the winners are emitted from
+// them. Pure mode, inputs holding a NaN and inputs below radixMinN take
+// the reference route: the add, then the quickselect threshold and the
+// emit scan over acc.
+func AccumulateTopKInto(dst *Vector, sc *SelectScratch, acc, grad []float32, k int) {
 	n := len(acc)
 	if grad != nil && len(grad) != n {
 		panic(fmt.Sprintf("sparse: AccumulateTopKInto over %d-element residual with %d-element gradient", n, len(grad)))
@@ -176,9 +200,9 @@ func AccumulateTopKInto(dst, cand *Vector, acc, grad []float32, k int) {
 		dst.Values = dst.Values[:o]
 		return
 	}
-	// Emit from cand after the fused kernel, from acc otherwise. The
-	// remaining tie quota goes to the lowest-index entries at the
-	// threshold.
+	// Emit from the candidates after the fused kernel, from acc
+	// otherwise. The remaining tie quota goes to the lowest-index
+	// entries at the threshold.
 	srcIdx, src := []int32(nil), acc
 	var thr float32
 	var strict int
@@ -186,10 +210,10 @@ func AccumulateTopKInto(dst, cand *Vector, acc, grad []float32, k int) {
 	if n >= radixMinN && fastEnabled.Load() {
 		// The kernel applies the add even when it reports a NaN, whose
 		// bit pattern defeats the histogram.
-		thr, strict, ok = accumulateSelectFast(cand, acc, grad, k)
+		thr, strict, ok = accumulateSelectFast(sc, acc, grad, k)
 		grad = nil
 		if ok {
-			srcIdx, src = cand.Indices, cand.Values
+			srcIdx, src = sc.cand.Indices, sc.cand.Values
 		}
 	}
 	if !ok {
@@ -204,11 +228,12 @@ func AccumulateTopKInto(dst, cand *Vector, acc, grad []float32, k int) {
 	dst.Values = dst.Values[:o]
 }
 
-// addInto is acc += grad element by element (tensor.AddInto's loop);
-// grad nil adds nothing.
+// addInto is tensor.AddInto(acc, grad); grad nil adds nothing. Every
+// add outside the fast kernels' blocks goes through it, so the residual
+// keeps the reference's bits, NaN payloads included.
 func addInto(acc, grad []float32) {
-	for i, g := range grad {
-		acc[i] += g
+	if grad != nil {
+		tensor.AddInto(acc, grad)
 	}
 }
 
